@@ -14,7 +14,7 @@ use htvm::{Compiler, DeployConfig, DmaTable, Machine};
 use htvm_ir::{DType, Padding2d, Tensor};
 use htvm_kernels::{
     conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref, depthwise_conv2d_region,
-    depthwise_conv2d_region_ref, KernelPolicy, KernelScratch, KernelTier,
+    depthwise_conv2d_region_ref, softmax, KernelPolicy, KernelScratch, KernelTier,
 };
 use htvm_models::all_models;
 use serde::{Deserialize, Serialize};
@@ -117,10 +117,11 @@ fn tier_label(tier: KernelTier) -> &'static str {
     }
 }
 
-/// Runs the microbenchmark: conv, depthwise conv and dense kernels over
-/// shapes representative of the paper's MLPerf-Tiny workloads (ResNet
-/// blocks, MobileNet pointwise/depthwise pairs, DS-CNN, classifier
-/// heads), each timed at every applicable tier.
+/// Runs the microbenchmark: conv, depthwise conv, dense and softmax
+/// kernels over shapes representative of the paper's MLPerf-Tiny
+/// workloads (ResNet blocks, MobileNet pointwise/depthwise pairs, DS-CNN,
+/// classifier heads) and the attention workload, each timed at every
+/// applicable tier.
 #[must_use]
 pub fn collect() -> KernelsReport {
     let mut kernels = Vec::new();
@@ -131,16 +132,13 @@ pub fn collect() -> KernelsReport {
         ("conv3x3_c64_k64_8x8", 64, 64, 8, 3, 1, 1),    // ResNet-8 deep stage
         ("conv1x1_c64_k128_16x16", 64, 128, 16, 1, 1, 0), // MobileNet pointwise
         ("conv3x3_s2_c3_k16_32x32", 3, 16, 32, 3, 2, 1), // strided stem
+        ("conv1x1_c256_k256_3x3", 256, 256, 3, 1, 1, 0), // MobileNet tail
     ];
     for (name, c, k, hw, f, s, p) in convs {
         let x = tensor(&[c, hw, hw], 3);
         let w = tensor(&[k, c, f, f], 17);
         let oy = (hw + 2 * p - f) / s + 1;
-        for tier in [
-            KernelTier::Reference,
-            KernelTier::Direct,
-            KernelTier::Im2colGemm,
-        ] {
+        for tier in [KernelTier::Reference, KernelTier::Im2colGemm] {
             let policy = KernelPolicy::sequential(tier);
             let mut scratch = KernelScratch::new();
             let mut out = Tensor::zeros(DType::I32, &[k, oy, oy]);
@@ -235,6 +233,22 @@ pub fn collect() -> KernelsReport {
             });
         }
     }
+
+    // Softmax over the attention scores of `tiny_transformer`: two heads
+    // of 256×256 requantized i8 logits, narrow-range like real scores.
+    let logits = tensor(&[2 * 256 * 256], 11)
+        .data()
+        .iter()
+        .map(|v| v.rem_euclid(31) - 15)
+        .collect();
+    let scores = Tensor::new(DType::I8, &[2, 256, 256], logits).expect("values fit i8");
+    kernels.push(KernelEntry {
+        name: "softmax_2x256x256".to_string(),
+        tier: "auto".to_string(),
+        wall_us: time_us(|| {
+            std::hint::black_box(softmax(&scores));
+        }),
+    });
 
     KernelsReport {
         schema_version: KERNELS_SCHEMA_VERSION,
@@ -384,8 +398,8 @@ mod tests {
         let r = collect();
         assert_eq!(r.schema_version, KERNELS_SCHEMA_VERSION);
         assert!(r.kernels.iter().all(|k| k.wall_us > 0.0));
-        // Every conv shape carries all three tiers.
-        for tier in ["reference", "direct", "gemm"] {
+        // Every conv shape carries both of its tiers.
+        for tier in ["reference", "gemm"] {
             assert!(
                 r.kernels
                     .iter()
@@ -393,6 +407,12 @@ mod tests {
                 "missing conv tier {tier}"
             );
         }
+        assert!(r
+            .kernels
+            .iter()
+            .all(|k| !(k.name.starts_with("conv") && k.tier == "direct")));
+        assert!(r.kernels.iter().any(|k| k.name == "conv1x1_c256_k256_3x3"));
+        assert!(r.kernels.iter().any(|k| k.name == "softmax_2x256x256"));
         assert!(r.kernels.iter().any(|k| k.name.starts_with("dwconv")));
         assert!(r.kernels.iter().any(|k| k.name.starts_with("dense")));
         // The GEMM sweep covers several reduction-length classes, each at
@@ -444,5 +464,32 @@ mod tests {
         // Within tolerance: silent.
         let (warn, good) = diff_kernels(&base, &base, 50.0);
         assert!(warn.is_empty() && good.is_empty());
+    }
+
+    #[test]
+    fn diff_tolerates_added_rows_and_warns_on_retired_ones() {
+        let entry = |name: &str, tier: &str| KernelEntry {
+            name: name.into(),
+            tier: tier.into(),
+            wall_us: 100.0,
+        };
+        let base = KernelsReport {
+            schema_version: KERNELS_SCHEMA_VERSION,
+            kernels: vec![entry("conv", "direct"), entry("conv", "gemm")],
+            gemm_sweep: Vec::new(),
+            replay: Vec::new(),
+        };
+        // A row only the new report has: nothing to compare, nothing said.
+        let mut added = base.clone();
+        added.kernels.push(entry("softmax", "auto"));
+        let (warn, good) = diff_kernels(&base, &added, 50.0);
+        assert!(warn.is_empty() && good.is_empty(), "{warn:?} {good:?}");
+        // A row the new report retired: one warning naming it.
+        let mut retired = base.clone();
+        retired.kernels.remove(0);
+        let (warn, good) = diff_kernels(&base, &retired, 50.0);
+        assert_eq!(warn.len(), 1, "{warn:?}");
+        assert!(warn[0].contains("conv/direct") && warn[0].contains("missing"));
+        assert!(good.is_empty());
     }
 }

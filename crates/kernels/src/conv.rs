@@ -1,19 +1,21 @@
 //! Convolution kernels (standard and depthwise), with sub-range variants
 //! used by the tiled executor.
 //!
-//! Each entry point dispatches through [`KernelPolicy`] to one of three
-//! implementation tiers (see `docs/KERNELS.md`):
+//! Each entry point dispatches through [`KernelPolicy`] to the reference
+//! tier or to its one fast tier (see `docs/KERNELS.md`):
 //!
 //! * **reference** — the original scalar loops with per-element padding
 //!   checks ([`conv2d_accumulate_ref`], [`depthwise_conv2d_region_ref`]),
 //!   kept as the oracle the faster tiers are differentially tested
 //!   against;
-//! * **direct** — the same loop nest restructured so each `(ky, kx)` tap
-//!   contributes a precomputed in-bounds output span, turning the inner
-//!   loop into a flat slice zip with no bounds checks;
-//! * **im2col + GEMM** — patch-matrix materialization into a reusable
-//!   scratch arena followed by the blocked [`crate::gemm_accumulate`]
-//!   microkernel (block size from [`KernelPolicy::kc`]).
+//! * **im2col + GEMM** (standard convolution) — patch-matrix
+//!   materialization into a reusable scratch arena followed by the
+//!   blocked [`crate::gemm_accumulate`] microkernel (block size from
+//!   [`KernelPolicy::kc`]);
+//! * **direct** (depthwise convolution) — the reference loop nest
+//!   restructured so each `(ky, kx)` tap contributes a precomputed
+//!   in-bounds output span, turning the inner loop into a flat slice zip
+//!   with no bounds checks.
 //!
 //! All tiers compute the identical multiset of `i32` products and combine
 //! them with `wrapping_add` (associative, commutative), so tier choice
@@ -128,48 +130,6 @@ fn split_range(range: &Range<usize>, parts: usize) -> Vec<Range<usize>> {
         })
         .filter(|r| !r.is_empty())
         .collect()
-}
-
-/// The direct tier for one output-channel block: padding-free interior
-/// spans, flat-slice inner loops.
-#[allow(clippy::too_many_arguments)]
-fn conv_block_direct(
-    s: &ConvShape,
-    xd: &[i32],
-    wd: &[i32],
-    view: &mut OutView<'_>,
-    k_range: &Range<usize>,
-    oy_range: &Range<usize>,
-    ox_range: &Range<usize>,
-    c_range: &Range<usize>,
-) {
-    for (k_rel, ko) in k_range.clone().enumerate() {
-        for (oy_rel, oy) in oy_range.clone().enumerate() {
-            let row_start = view.base + k_rel * view.k_stride + oy_rel * view.y_stride;
-            let row = &mut view.data[row_start..row_start + view.ox_len];
-            for ci in c_range.clone() {
-                for ky in 0..s.fy {
-                    let iy = (oy * s.sy + ky) as isize - s.pt;
-                    if iy < 0 || iy as usize >= s.h {
-                        continue;
-                    }
-                    let xrow = &xd[(ci * s.h + iy as usize) * s.iw..][..s.iw];
-                    let wbase = ((ko * s.c + ci) * s.fy + ky) * s.fx;
-                    for kx in 0..s.fx {
-                        let wv = wd[wbase + kx];
-                        if wv == 0 {
-                            continue;
-                        }
-                        let Some((lo, hi, x0)) = ox_span(s.iw, s.sx, s.pl, kx, ox_range) else {
-                            continue;
-                        };
-                        let dst = &mut row[lo - ox_range.start..hi - ox_range.start];
-                        axpy_strided(dst, &xrow[x0..], wv, s.sx);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The im2col + GEMM tier for one output-channel block.
@@ -382,7 +342,6 @@ pub fn conv2d_accumulate_with(
         // result independent of scheduling (and i32 addition makes it
         // bit-identical to the sequential path).
         let blocks = split_range(&k_range, policy.threads);
-        let tier = policy.tier;
         let kc = policy.kc;
         let partials: Vec<Vec<i32>> = blocks
             .par_iter()
@@ -395,20 +354,10 @@ pub fn conv2d_accumulate_with(
                     y_stride: ox_len,
                     ox_len,
                 };
-                match tier {
-                    KernelTier::Direct => {
-                        conv_block_direct(
-                            &s, xd, wd, &mut view, blk, &oy_range, &ox_range, &c_range,
-                        );
-                    }
-                    _ => {
-                        let mut local = KernelScratch::new();
-                        conv_block_gemm(
-                            &s, xd, wd, &mut view, blk, &oy_range, &ox_range, &c_range, &mut local,
-                            kc,
-                        );
-                    }
-                }
+                let mut local = KernelScratch::new();
+                conv_block_gemm(
+                    &s, xd, wd, &mut view, blk, &oy_range, &ox_range, &c_range, &mut local, kc,
+                );
                 buf
             })
             .collect();
@@ -435,16 +384,9 @@ pub fn conv2d_accumulate_with(
         y_stride: oox,
         ox_len,
     };
-    match policy.tier {
-        KernelTier::Direct => {
-            conv_block_direct(
-                &s, xd, wd, &mut view, &k_range, &oy_range, &ox_range, &c_range,
-            );
-        }
-        _ => conv_block_gemm(
-            &s, xd, wd, &mut view, &k_range, &oy_range, &ox_range, &c_range, scratch, policy.kc,
-        ),
-    }
+    conv_block_gemm(
+        &s, xd, wd, &mut view, &k_range, &oy_range, &ox_range, &c_range, scratch, policy.kc,
+    );
 }
 
 /// The reference scalar implementation of [`conv2d_accumulate`]: plain
@@ -854,44 +796,42 @@ mod tests {
                 oxr.clone(),
                 cr.clone(),
             );
-            for tier in [KernelTier::Direct, KernelTier::Im2colGemm] {
-                let mut got = Tensor::zeros(DType::I32, &[5, 9, 9]);
-                let mut scratch = KernelScratch::new();
-                conv2d_accumulate_with(
-                    &KernelPolicy::sequential(tier),
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut got,
-                    strides,
-                    pad,
-                    kr.clone(),
-                    oyr.clone(),
-                    oxr.clone(),
-                    cr.clone(),
-                );
-                assert_eq!(got, want, "tier {tier:?} strides {strides:?}");
-                // And across threads.
-                let mut par = Tensor::zeros(DType::I32, &[5, 9, 9]);
-                conv2d_accumulate_with(
-                    &KernelPolicy {
-                        tier,
-                        threads: 3,
-                        kc: 96, // off-default block size: still bit-exact
-                    },
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut par,
-                    strides,
-                    pad,
-                    kr.clone(),
-                    oyr.clone(),
-                    oxr.clone(),
-                    cr.clone(),
-                );
-                assert_eq!(par, want, "tier {tier:?} threads=3");
-            }
+            let mut got = Tensor::zeros(DType::I32, &[5, 9, 9]);
+            let mut scratch = KernelScratch::new();
+            conv2d_accumulate_with(
+                &KernelPolicy::sequential(KernelTier::Im2colGemm),
+                &mut scratch,
+                &x,
+                &w,
+                &mut got,
+                strides,
+                pad,
+                kr.clone(),
+                oyr.clone(),
+                oxr.clone(),
+                cr.clone(),
+            );
+            assert_eq!(got, want, "strides {strides:?}");
+            // And across threads.
+            let mut par = Tensor::zeros(DType::I32, &[5, 9, 9]);
+            conv2d_accumulate_with(
+                &KernelPolicy {
+                    tier: KernelTier::Im2colGemm,
+                    threads: 3,
+                    kc: 96, // off-default block size: still bit-exact
+                },
+                &mut scratch,
+                &x,
+                &w,
+                &mut par,
+                strides,
+                pad,
+                kr.clone(),
+                oyr.clone(),
+                oxr.clone(),
+                cr.clone(),
+            );
+            assert_eq!(par, want, "strides {strides:?} threads=3");
         }
     }
 

@@ -16,10 +16,10 @@ pub enum KernelTier {
     /// The original scalar loops with per-element bounds checks. Kept as
     /// the oracle every faster tier is differentially tested against.
     Reference,
-    /// Padding-free interior spans: per-`(ky, kx)` valid output ranges are
-    /// precomputed so the inner loop is a flat slice zip with no bounds
-    /// checks (it autovectorizes), and padded positions are skipped rather
-    /// than tested element by element.
+    /// The fast loops of kernels with no GEMM form: padding-free interior
+    /// spans for depthwise convolution (flat slice zips, no bounds checks),
+    /// plain dot products for small dense blocks, blocked matmul loops. A
+    /// standard convolution given this tier runs [`KernelTier::Im2colGemm`].
     Direct,
     /// im2col patch materialization + the cache-blocked, register-tiled
     /// GEMM in [`crate::gemm_accumulate`]. 1×1/stride-1/unpadded
@@ -103,10 +103,9 @@ impl GemmTuning {
 /// startup; small DORY tiles always stay inline.
 const PAR_MIN_MACS: usize = 2 << 20;
 
-/// Below this many GEMM reduction elements (`c·fy·fx`) or output columns
-/// the im2col detour costs more than it saves and the direct tier wins.
+/// Below this many output neurons or reduction features a dense block
+/// runs the plain dot-product loop instead of the GEMM.
 const GEMM_MIN_ROWS: usize = 8;
-const GEMM_MIN_COLS: usize = 32;
 const GEMM_MIN_K: usize = 4;
 
 impl KernelPolicy {
@@ -130,18 +129,16 @@ impl KernelPolicy {
 
     /// Chooses the tier and thread count for a convolution call over a
     /// `k_len × (oy_len·ox_len)` output block reducing `c_len·fy·fx`
-    /// inputs per element.
+    /// inputs per element. Every shape takes the im2col GEMM unless the
+    /// reference tier is forced: it measured faster than direct loops
+    /// even on the smallest zoo tiles (see `docs/KERNELS.md`).
     #[must_use]
     pub fn for_conv(k_len: usize, c_len: usize, fy: usize, fx: usize, cols: usize) -> Self {
-        let rows = c_len * fy * fx;
         let tier = match tier_override() {
-            Some(t) => t,
-            None if k_len >= GEMM_MIN_K && rows >= GEMM_MIN_ROWS && cols >= GEMM_MIN_COLS => {
-                KernelTier::Im2colGemm
-            }
-            None => KernelTier::Direct,
+            Some(KernelTier::Reference) => KernelTier::Reference,
+            _ => KernelTier::Im2colGemm,
         };
-        let macs = k_len * rows * cols;
+        let macs = k_len * c_len * fy * fx * cols;
         let threads = if macs >= PAR_MIN_MACS {
             num_threads().min(k_len).max(1)
         } else {
@@ -306,8 +303,9 @@ pub fn num_threads() -> usize {
 
 /// `HTVM_KERNEL_TIER` override (`reference`, `direct`, `gemm`; `auto` or
 /// unset means automatic shape-based selection). Unknown values warn
-/// once on stderr and fall back to automatic selection. Used by the
-/// kernel microbenchmark to time tiers in isolation.
+/// once on stderr and fall back to automatic selection. A kernel without
+/// the requested tier keeps its own fast tier: `direct` on a standard
+/// convolution runs the GEMM, `gemm` on depthwise or matmul runs direct.
 fn tier_override() -> Option<KernelTier> {
     let raw = std::env::var("HTVM_KERNEL_TIER").ok()?;
     parse_tier(&raw).unwrap_or_else(|warning| {
@@ -321,11 +319,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn large_convs_pick_gemm_small_pick_direct() {
-        let big = KernelPolicy::for_conv(64, 64, 3, 3, 32 * 32);
-        assert_eq!(big.tier, KernelTier::Im2colGemm);
+    fn every_conv_shape_picks_gemm() {
+        // (k, c, fy, fx, cols): large, then each side of the retired
+        // direct-tier gates (cols < 32, k < 4, c·fy·fx < 8), then the
+        // 1×1 MobileNet tail with a 3×3 output.
+        for (k, c, fy, fx, cols) in [
+            (64, 64, 3, 3, 32 * 32),
+            (16, 16, 3, 3, 31),
+            (3, 16, 3, 3, 64),
+            (16, 7, 1, 1, 64),
+            (2, 1, 3, 3, 4),
+            (1, 1, 1, 1, 1),
+            (256, 256, 1, 1, 9),
+        ] {
+            let p = KernelPolicy::for_conv(k, c, fy, fx, cols);
+            assert_eq!(p.tier, KernelTier::Im2colGemm, "{:?}", (k, c, fy, fx, cols));
+        }
         let tiny = KernelPolicy::for_conv(2, 1, 3, 3, 4);
-        assert_eq!(tiny.tier, KernelTier::Direct);
         assert_eq!(tiny.threads, 1, "tiny tiles never pay thread startup");
     }
 

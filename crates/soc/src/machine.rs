@@ -703,6 +703,26 @@ impl Machine {
         Ok(cycles)
     }
 
+    /// Prices one accelerator layer from its descriptor program when the
+    /// program describes this tile loop, otherwise by interpreting the
+    /// loop. A tile count that differs from `instances` means the table
+    /// was linearized for another tiling and does not describe this step.
+    fn layer_timing(
+        &self,
+        engine: EngineKind,
+        desc: &AccelLayerDesc,
+        instances: &[TileInstance],
+        replay: Option<&StepDma>,
+        faults: &mut FaultCtx,
+    ) -> Result<CycleBreakdown, DmaAbort> {
+        match replay {
+            Some(p) if p.n_tiles as usize == instances.len() => {
+                self.replay_timing(engine, p, faults)
+            }
+            _ => self.accel_timing(engine, desc, instances, faults),
+        }
+    }
+
     /// Executes one accelerator layer: the DORY tile loop with DMA, weight
     /// staging and compute costs, accumulating functionally per tile.
     #[allow(clippy::too_many_arguments)]
@@ -739,19 +759,15 @@ impl Machine {
 
         let instances = tiles(geom, &desc.tile);
         let n_tiles = instances.len();
-        let mut cycles = match replay {
-            // A stale tile count means the table does not describe this
-            // program; fall back to interpreting the loop.
-            Some(p) if p.n_tiles as usize == n_tiles => self.replay_timing(engine, p, faults),
-            _ => self.accel_timing(engine, desc, &instances, faults),
-        }
-        .map_err(|abort| RunError::DmaFailed {
-            layer_index: step_idx,
-            layer: desc.name.clone(),
-            engine,
-            transfer: abort.transfer,
-            attempts: abort.attempts,
-        })?;
+        let mut cycles = self
+            .layer_timing(engine, desc, &instances, replay, faults)
+            .map_err(|abort| RunError::DmaFailed {
+                layer_index: step_idx,
+                layer: desc.name.clone(),
+                engine,
+                transfer: abort.transfer,
+                attempts: abort.attempts,
+            })?;
         // Collect this layer's injected stalls/retries (includes any L1
         // denial backoff charged before dispatch).
         let (stall, retries) = faults.take_layer_faults();
@@ -800,17 +816,11 @@ impl Machine {
         replay: Option<&StepDma>,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
-        // With a descriptor program the timeout is priced without even
-        // enumerating the tile loop.
-        let timeout = match replay {
-            Some(p) => self.replay_timing(engine, p, &mut FaultCtx::inert()),
-            None => {
-                let instances = tiles(&desc.geom, &desc.tile);
-                self.accel_timing(engine, desc, &instances, &mut FaultCtx::inert())
-            }
-        }
-        .expect("inert fault context cannot abort")
-        .total();
+        let instances = tiles(&desc.geom, &desc.tile);
+        let timeout = self
+            .layer_timing(engine, desc, &instances, replay, &mut FaultCtx::inert())
+            .expect("inert fault context cannot abort")
+            .total();
 
         // Mirror the analog input DAC clamp so the fallback sees exactly
         // the bits the accelerator would have.
@@ -1719,5 +1729,43 @@ mod tests {
         let replay = m.run_with_faults(&replayed, &[input], &plan).unwrap();
         assert_eq!(interp.outputs[0], reference);
         assert_eq!(interp, replay, "degraded-path timeout must price equally");
+    }
+
+    #[test]
+    fn fallback_timeout_ignores_a_table_for_another_tiling() {
+        // The table was linearized for a different tiling of the same
+        // layer under the same platform, so its digest matches but its
+        // tile count does not: the engine-off timeout must be priced by
+        // the interpreter, exactly as for the table-free program.
+        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
+        let cfg = DianaConfig::default();
+        let (mut program, input, reference) =
+            conv_program(TileConfig::full(&geom), EngineKind::Digital);
+        program.fallbacks.insert(0, conv_fallback(&program));
+        let (other_tiling, _, _) = conv_program(
+            TileConfig {
+                c_t: 2,
+                k_t: 3,
+                oy_t: 4,
+                ox_t: 8,
+            },
+            EngineKind::Digital,
+        );
+        let mut stale = program.clone();
+        stale.dma = with_dma_table(other_tiling, &cfg).dma;
+        assert!(stale.dma.get(0).unwrap().n_tiles > 1);
+        let m = Machine::new(cfg);
+        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
+            engine: EngineKind::Digital,
+            layer: 0,
+        });
+        let clean = m
+            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
+            .unwrap();
+        let faulted = m.run_with_faults(&stale, &[input], &plan).unwrap();
+        assert_eq!(faulted.outputs[0], reference);
+        assert_eq!(faulted.layers[0].engine, EngineKind::Cpu);
+        assert_eq!(faulted.layers[0].cycles.stall, clean.layers[0].cycles.stall);
+        assert_eq!(faulted, clean);
     }
 }
