@@ -60,7 +60,9 @@ struct Inner {
     oversized: u64,
 }
 
-/// A thread-safe LRU artifact cache bounded by serialized size.
+/// A thread-safe LRU artifact cache bounded by serialized size. Each
+/// entry is charged [`serde_json::encoded_len`] of its artifact: the
+/// exact `to_string` length, counted without building the string.
 pub struct ArtifactCache {
     budget_bytes: usize,
     inner: Mutex<Inner>,
@@ -125,9 +127,7 @@ impl ArtifactCache {
     /// (it is not admitted, and nothing is evicted for it). Re-inserting
     /// an existing key refreshes the entry in place.
     pub fn insert(&self, key: ArtifactKey, artifact: &Artifact) -> bool {
-        let bytes = serde_json::to_string(artifact)
-            .expect("artifacts serialize infallibly")
-            .len();
+        let bytes = serde_json::encoded_len(artifact);
         let mut inner = self.inner.lock().expect("artifact cache poisoned");
         if bytes > self.budget_bytes {
             inner.oversized += 1;

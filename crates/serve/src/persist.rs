@@ -195,10 +195,7 @@ impl PersistStore {
         if path.file_name()?.to_str()? != format!("{}.json", entry.key_id) {
             return None;
         }
-        // The vendored serde_json has no `from_value`; round-tripping
-        // the payload through a string is the supported conversion.
-        let payload = serde_json::to_string(&entry.artifact).ok()?;
-        let artifact: Artifact = serde_json::from_str(&payload).ok()?;
+        let artifact: Artifact = serde_json::from_value(entry.artifact).ok()?;
         Some((key, artifact))
     }
 

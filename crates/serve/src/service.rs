@@ -1147,8 +1147,8 @@ impl CompileService {
                     error,
                 })?;
             // Attempt the insert anyway (it is rejected as oversized):
-            // a no-reuse service still pays the serialize-to-measure
-            // cost a caching one would, so cache-on/off comparisons
+            // a no-reuse service still pays the size-measurement cost
+            // a caching one would, so cache-on/off comparisons
             // isolate *reuse*, and the oversized counter keeps exact.
             slot.cache.insert(key.clone(), &artifact);
             return Ok((artifact, false, false));

@@ -390,6 +390,24 @@ fn malformed_requests_get_typed_errors_not_hangups() {
 }
 
 #[test]
+fn deeply_nested_bodies_get_400_and_the_server_survives() {
+    let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
+    let addr = server.addr();
+    // A million open brackets: unbounded parser recursion would overflow
+    // the connection thread's stack and abort the whole process.
+    let deep = "[".repeat(1_000_000);
+    let response = once(addr, "POST", "/v1/compile", Some(&deep));
+    assert_eq!(response.status, 400);
+    let error = response.error();
+    assert_eq!(error.kind, "bad_request");
+    assert!(error.detail.contains("recursion limit"), "{}", error.detail);
+
+    let health = once(addr, "GET", "/v1/healthz", None);
+    assert_eq!(health.status, 200, "the server is still up");
+    server.shutdown();
+}
+
+#[test]
 fn import_round_trip_is_byte_identical_and_shares_cache_keys() {
     let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
     let addr = server.addr();
