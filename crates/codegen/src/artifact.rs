@@ -116,7 +116,6 @@ mod tests {
                 outputs: vec![],
                 activation_peak: 0,
                 fallbacks: Default::default(),
-                dma: Default::default(),
             },
             binary: BinarySize::default(),
             stats: CompileStats::default(),
@@ -152,7 +151,6 @@ mod tests {
                 outputs: vec![],
                 activation_peak: 0,
                 fallbacks: Default::default(),
-                dma: Default::default(),
             },
             binary: BinarySize::default(),
             stats: CompileStats::default(),

@@ -20,8 +20,8 @@ use htvm_dory::{solve, ArrayDims, MemoryBudget, TileCache, TileSolution, TilingO
 use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind};
 use htvm_pattern::{PartitionedGraph, Region};
 use htvm_soc::{
-    linearize_step, AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, DmaTable,
-    EngineKind, FallbackTable, Program, Step,
+    AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, EngineKind, FallbackTable,
+    Program, Step,
 };
 use htvm_trace::{tracks, Span, Tracer};
 use rayon::prelude::*;
@@ -291,7 +291,6 @@ pub fn lower(
     let emit_start = Instant::now();
     let mut steps: Vec<Step> = Vec::new();
     let mut fallbacks = FallbackTable::new();
-    let mut dma_table = DmaTable::new(cfg);
     let mut assignments: Vec<LayerAssignment> = Vec::new();
     let mut producer_step: HashMap<BufferId, usize> = HashMap::new();
     let mut last_consumer: HashMap<BufferId, usize> = HashMap::new();
@@ -354,10 +353,6 @@ pub fn lower(
                         fallbacks.insert(step_idx, kernel);
                     }
                 }
-                // Pre-linearize the layer's tile loop into its DMA
-                // descriptor program: the machine replays these instead
-                // of re-deriving per-tile transfer geometry at run time.
-                dma_table.insert(step_idx, linearize_step(cfg, engine, &desc));
                 steps.push(Step::Accel {
                     engine,
                     desc,
@@ -405,8 +400,7 @@ pub fn lower(
             )
             .with_arg("steps", steps.len())
             .with_arg("buffers", buffers.len())
-            .with_arg("fallbacks", fallbacks.len())
-            .with_arg("dma_programs", dma_table.len()),
+            .with_arg("fallbacks", fallbacks.len()),
         );
     }
 
@@ -492,7 +486,6 @@ pub fn lower(
             outputs,
             activation_peak,
             fallbacks,
-            dma: dma_table,
         },
         binary,
         assignments,
@@ -607,18 +600,6 @@ mod tests {
                 Step::Accel { .. }
             ));
             assert!(kernel.name.ends_with("_cpu_fallback"));
-        }
-        // ... and a pre-linearized DMA descriptor program, pinned to the
-        // platform it was compiled for.
-        assert_eq!(artifact.program.dma.len(), 2);
-        assert!(artifact.program.dma.matches(&DianaConfig::default()));
-        for (step_idx, step_dma) in artifact.program.dma.iter() {
-            assert!(matches!(
-                artifact.program.steps[step_idx],
-                Step::Accel { .. }
-            ));
-            assert!(step_dma.n_tiles >= 1);
-            assert!(!step_dma.descriptors.is_empty());
         }
     }
 

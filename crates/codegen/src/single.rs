@@ -115,9 +115,6 @@ pub fn single_layer_program(geom: &LayerGeometry, tile: TileConfig, engine: Engi
         outputs: vec![out_id],
         activation_peak,
         fallbacks,
-        // Characterization programs carry no platform-pinned descriptor
-        // table: the harness sweeps configs, so the machine interprets.
-        dma: htvm_soc::DmaTable::default(),
     }
 }
 

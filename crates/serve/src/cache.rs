@@ -226,7 +226,6 @@ mod tests {
                 outputs: vec![],
                 activation_peak: 0,
                 fallbacks: Default::default(),
-                dma: Default::default(),
             },
             binary: Default::default(),
             assignments: vec![],

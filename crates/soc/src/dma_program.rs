@@ -1,32 +1,29 @@
-//! Compile-time DMA descriptor programs.
+//! DMA descriptor programs: the temporal model of one accelerator layer.
 //!
 //! The DORY tile loop's temporal model is a pure function of the layer
 //! descriptor and the platform configuration: which (c, oy, ox) input
 //! slices get fetched, when the (k, c) weight slice is restaged, how many
 //! bytes and 1-D chunks each transaction moves. On real DIANA silicon
 //! HTVM resolves all of this at *compile* time — the generated C contains
-//! literal DMA calls, not geometry math. This module gives the simulator
-//! the same structure: [`linearize_step`] walks the tile loop once at
-//! compile time and flattens every DMA transaction into a [`DmaDescriptor`]
-//! list (plus pre-summed compute/pool/weight-programming cycles), and the
-//! [`Machine`](crate::Machine) *replays* those descriptors at run time
-//! instead of re-deriving per-tile geometry per operand per tile.
+//! literal DMA calls, not geometry math — so the model here has the same
+//! shape: [`linearize_step`] walks the tile loop once and flattens every
+//! DMA transaction into a [`DmaDescriptor`] list (plus pre-summed
+//! compute/pool/weight-programming cycles), which the
+//! [`Machine`](crate::Machine) replays to price the layer.
 //!
-//! Replay is bit- and cycle-exact with interpretation by construction:
-//! descriptors are recorded in the exact order `accel_timing` issues
-//! transactions (input operands → digital weight staging → output store,
-//! per tile), so fault injection by global DMA transaction index hits the
-//! same transfer either way. The table is keyed by a digest of the
-//! [`DianaConfig`] it was linearized against; running the program on a
-//! different platform silently falls back to interpretation.
+//! The list is the only representation of a layer's timing. The simulator
+//! derives it per layer at run time, from the program's layer descriptor
+//! and the machine's own configuration; simulated cycles do not depend on
+//! when the host does so. Descriptors are recorded in issue order (input
+//! operands → digital weight staging → output store, per tile), so fault
+//! injection by global DMA transaction index hits a well-defined transfer.
 
 use crate::{analog, digital, dma, AccelLayerDesc, DianaConfig, EngineKind};
 use htvm_dory::{tiles, LayerKind};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Direction/target of one pre-linearized DMA transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaDir {
     /// Activation fetch, L2 → L1 (one operand; element-wise add records
     /// two consecutive `In` descriptors per fetched slice).
@@ -42,7 +39,7 @@ pub enum DmaDir {
 }
 
 /// One pre-resolved DMA transaction of an accelerator step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaDescriptor {
     /// What the transaction moves.
     pub dir: DmaDir,
@@ -55,14 +52,13 @@ pub struct DmaDescriptor {
 /// The flattened temporal program of one accelerator step: every DMA
 /// transaction in issue order, plus the loop-invariant cycle sums that
 /// replay needs (compute, fused pooling, analog row programming).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepDma {
     /// Tile instances the step executes (drives per-tile host overhead
     /// and the double-buffering fill estimate).
     pub n_tiles: u64,
     /// Datapath compute cycles summed over all tiles, *excluding* fused
-    /// pooling (double-buffering overlaps DMA with this sum only, exactly
-    /// as the interpreter does).
+    /// pooling (double-buffering overlaps DMA with this sum only).
     pub compute: u64,
     /// Fused output-pooling cycles, added to compute after the
     /// double-buffering adjustment.
@@ -73,102 +69,10 @@ pub struct StepDma {
     pub descriptors: Vec<DmaDescriptor>,
 }
 
-/// Pre-linearized DMA programs for a [`Program`](crate::Program)'s
-/// accelerator steps, keyed by step index.
-///
-/// Stored like [`FallbackTable`](crate::FallbackTable): a sorted vector,
-/// binary-searched, stable under serialization. The `platform_digest`
-/// pins the table to the [`DianaConfig`] it was derived from — a machine
-/// with any other configuration ignores the table and re-interprets the
-/// tile loop, so descriptor replay can never desynchronize cycle counts
-/// from the platform actually simulated.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DmaTable {
-    /// FNV-1a digest of the serialized platform configuration the
-    /// descriptors were linearized against; 0 only for the empty default.
-    platform_digest: u64,
-    entries: Vec<(usize, StepDma)>,
-}
-
-impl DmaTable {
-    /// An empty table pinned to `cfg`; populate with [`DmaTable::insert`].
-    #[must_use]
-    pub fn new(cfg: &DianaConfig) -> Self {
-        DmaTable {
-            platform_digest: platform_digest(cfg),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Registers (or replaces) the DMA program for step `step`.
-    pub fn insert(&mut self, step: usize, program: StepDma) {
-        match self.entries.binary_search_by_key(&step, |(s, _)| *s) {
-            Ok(pos) => self.entries[pos].1 = program,
-            Err(pos) => self.entries.insert(pos, (step, program)),
-        }
-    }
-
-    /// The DMA program for step `step`, if one was linearized.
-    #[must_use]
-    pub fn get(&self, step: usize) -> Option<&StepDma> {
-        self.entries
-            .binary_search_by_key(&step, |(s, _)| *s)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-
-    /// `true` if the table was linearized against exactly this platform
-    /// configuration (replay is only valid then).
-    #[must_use]
-    pub fn matches(&self, cfg: &DianaConfig) -> bool {
-        self.matches_digest(platform_digest(cfg))
-    }
-
-    /// [`DmaTable::matches`] against a pre-computed
-    /// [`platform_digest`] — the hot-path form: the machine digests its
-    /// config once at construction, not once per run.
-    #[must_use]
-    pub fn matches_digest(&self, digest: u64) -> bool {
-        !self.entries.is_empty() && self.platform_digest == digest
-    }
-
-    /// Number of steps carrying a DMA program.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no steps were linearized.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(step index, program)` in step order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &StepDma)> {
-        self.entries.iter().map(|(s, p)| (*s, p))
-    }
-}
-
-/// FNV-1a digest of a platform configuration's canonical serialization.
-/// Serde gives a stable field order, so equal configs digest equally and
-/// any cost-relevant field change re-keys the table.
-#[must_use]
-pub fn platform_digest(cfg: &DianaConfig) -> u64 {
-    let json = serde_json::to_string(cfg).expect("DianaConfig serializes");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Fused output-pooling cycles for one accelerator layer: runs in the
 /// output SIMD stage, one window element per SIMD beat (paper §III-C).
-/// Shared by the interpreter and the linearizer so the two paths cannot
-/// drift. Pool output dims follow `kernels::pool2d`'s shape rule.
-pub(crate) fn pool_cycles(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> u64 {
+/// Pool output dims follow `kernels::pool2d`'s shape rule.
+fn pool_cycles(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> u64 {
     let Some(pool) = &desc.pool else { return 0 };
     let geom = &desc.geom;
     let oy = pooled_dim(
@@ -203,9 +107,9 @@ fn pooled_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
 /// into a [`StepDma`]: every DMA transaction as a descriptor in issue
 /// order, compute/pool/row-programming cycles pre-summed.
 ///
-/// Mirrors `Machine::accel_timing` exactly — same input-slice residency
-/// dedup, same weight restaging rule, same transaction order — which the
-/// differential tests in this module and `machine.rs` pin down.
+/// The input residency key is the (c, oy, ox) slice: the L1 input buffer
+/// is single-buffered per layer, so consecutive tiles over the same slice
+/// (e.g. successive output-channel blocks) reuse it without a transfer.
 ///
 /// # Panics
 ///
@@ -245,8 +149,7 @@ pub fn linearize_step(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDe
         }
         // Weight staging when the (k, c) slice changes — matmul's staged b
         // slab also varies with the batch (ox) slice, so the residency key
-        // carries it (empty for weightful kinds). Must match
-        // `Machine::accel_timing` exactly.
+        // carries it (empty for weightful kinds).
         if geom.kind != LayerKind::Add {
             let batch = if geom.kind == LayerKind::MatMul {
                 inst.ox.clone()
@@ -431,51 +334,5 @@ mod tests {
             .filter(|d| d.dir == DmaDir::Weight)
             .count();
         assert_eq!(weights, 3, "each k slice restages weights");
-    }
-
-    #[test]
-    fn table_is_pinned_to_its_platform() {
-        let cfg = DianaConfig::default();
-        let desc = conv_desc(TileConfig {
-            c_t: 4,
-            k_t: 6,
-            oy_t: 8,
-            ox_t: 8,
-        });
-        let mut table = DmaTable::new(&cfg);
-        assert!(!table.matches(&cfg), "empty tables never match");
-        table.insert(0, linearize_step(&cfg, EngineKind::Digital, &desc));
-        assert!(table.matches(&cfg));
-        assert_eq!(table.len(), 1);
-        assert!(table.get(0).is_some());
-        assert!(table.get(1).is_none());
-
-        let mut other = cfg;
-        other.dma.setup_cycles += 1;
-        assert!(
-            !table.matches(&other),
-            "any cost-relevant config change must re-key the table"
-        );
-        assert!(
-            !DmaTable::default().matches(&cfg),
-            "the deserialized-from-old-artifact default stays inert"
-        );
-    }
-
-    #[test]
-    fn table_round_trips_through_serde() {
-        let cfg = DianaConfig::default();
-        let desc = conv_desc(TileConfig {
-            c_t: 2,
-            k_t: 3,
-            oy_t: 4,
-            ox_t: 8,
-        });
-        let mut table = DmaTable::new(&cfg);
-        table.insert(0, linearize_step(&cfg, EngineKind::Digital, &desc));
-        let json = serde_json::to_string(&table).unwrap();
-        let back: DmaTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(table, back);
-        assert!(back.matches(&cfg));
     }
 }

@@ -60,9 +60,7 @@ pub use counters::{CycleBreakdown, LayerProfile, PerfCounters, RunReport};
 pub use cpu::cpu_graph_cycles;
 pub use digital::digital_tile_cycles;
 pub use dma::dma_cycles;
-pub use dma_program::{
-    descriptor_cycles, linearize_step, platform_digest, DmaDescriptor, DmaDir, DmaTable, StepDma,
-};
+pub use dma_program::{descriptor_cycles, linearize_step, DmaDescriptor, DmaDir, StepDma};
 pub use energy::EnergyConfig;
 pub use faults::{FaultEvent, FaultPlan, RetryPolicy};
 pub use listing::render_listing;

@@ -201,7 +201,6 @@ mod tests {
             outputs: vec![BufferId(1)],
             activation_peak: 512,
             fallbacks: crate::FallbackTable::default(),
-            dma: crate::DmaTable::default(),
         }
     }
 

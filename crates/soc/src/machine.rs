@@ -1,17 +1,17 @@
 //! The program executor: functional semantics + cycle accounting.
 
-use crate::dma_program::{self, DmaDir, StepDma};
+use crate::dma_program::{self, DmaDir};
 use crate::faults::{DmaAbort, FaultCtx};
 use crate::{
-    analog, cpu, digital, dma, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind,
-    FallbackKernel, FaultPlan, LayerProfile, Program, RunReport, Step,
+    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, FallbackKernel,
+    FaultPlan, LayerProfile, Program, RunReport, Step,
 };
 use htvm_dory::{tiles, LayerKind, TileInstance};
 use htvm_ir::{DType, Tensor};
 use htvm_kernels as kernels;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 /// Errors produced while running a program.
 ///
@@ -53,10 +53,14 @@ pub enum RunError {
         layer: String,
         /// Engine whose memory was exceeded.
         engine: EngineKind,
-        /// Bytes the tile needs in the violated memory.
+        /// Amount of the violated resource the tile needs, in `unit`.
         needed: usize,
-        /// The memory's capacity in bytes.
+        /// The violated resource's capacity, in `unit`.
         capacity: usize,
+        /// What `needed` and `capacity` count: `"bytes"` of the shared L1
+        /// or the digital weight memory, or `"analog rows"` /
+        /// `"analog columns"` of the in-memory-compute array.
+        unit: &'static str,
     },
     /// An injected DMA failure persisted beyond the retry budget.
     DmaFailed {
@@ -130,9 +134,10 @@ impl fmt::Display for RunError {
                 engine,
                 needed,
                 capacity,
+                unit,
             } => write!(
                 f,
-                "step {layer_index} ('{layer}', {engine}) tile needs {needed} bytes, exceeding the {capacity} byte scratchpad"
+                "step {layer_index} ('{layer}', {engine}) tile needs {needed} {unit}, exceeding the capacity of {capacity} {unit}"
             ),
             RunError::DmaFailed {
                 layer_index,
@@ -222,9 +227,6 @@ impl RunError {
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: DianaConfig,
-    /// [`dma_program::platform_digest`] of `cfg`, memoized at construction
-    /// so per-run DMA-table matching never re-serializes the config.
-    cfg_digest: u64,
     tuning: kernels::GemmTuning,
 }
 
@@ -233,7 +235,6 @@ impl Machine {
     #[must_use]
     pub fn new(cfg: DianaConfig) -> Self {
         Machine {
-            cfg_digest: dma_program::platform_digest(&cfg),
             cfg,
             tuning: kernels::GemmTuning::default(),
         }
@@ -364,16 +365,7 @@ impl Machine {
         }
         let mut layers = Vec::with_capacity(program.steps.len());
         let mut elapsed_cycles: u64 = 0;
-        // Descriptor replay is only sound against the exact platform the
-        // program was linearized for; anything else re-interprets the
-        // tile loop (identical cycles, just slower to price).
-        let replay_ok = program.dma.matches_digest(self.cfg_digest);
         for (step_idx, step) in program.steps.iter().enumerate() {
-            let replay = if replay_ok {
-                program.dma.get(step_idx)
-            } else {
-                None
-            };
             let profile = match step {
                 Step::Accel {
                     engine,
@@ -398,7 +390,6 @@ impl Machine {
                             desc,
                             kernel,
                             (a, b.as_ref()),
-                            replay,
                             &mut faults,
                         )?
                     } else {
@@ -417,7 +408,6 @@ impl Machine {
                             desc,
                             a,
                             b.as_ref(),
-                            replay,
                             &mut faults,
                             &mut scratch,
                         )?
@@ -499,6 +489,7 @@ impl Machine {
                 engine,
                 needed: act,
                 capacity: self.cfg.l1_act_bytes,
+                unit: "bytes",
             });
         }
         match engine {
@@ -510,6 +501,7 @@ impl Machine {
                         engine,
                         needed: mem.weight,
                         capacity: self.cfg.digital.weight_bytes,
+                        unit: "bytes",
                     });
                 }
             }
@@ -518,14 +510,20 @@ impl Machine {
                     LayerKind::DepthwiseConv2d | LayerKind::Add => 0,
                     _ => desc.tile.c_t * desc.geom.fy * desc.geom.fx,
                 };
-                if rows_needed > self.cfg.analog.rows || desc.tile.k_t > self.cfg.analog.cols {
-                    return Err(RunError::L1Overflow {
-                        layer_index: step_idx,
-                        layer: desc.name.clone(),
-                        engine,
-                        needed: rows_needed.max(desc.tile.k_t),
-                        capacity: self.cfg.analog.rows,
-                    });
+                for (needed, capacity, unit) in [
+                    (rows_needed, self.cfg.analog.rows, "analog rows"),
+                    (desc.tile.k_t, self.cfg.analog.cols, "analog columns"),
+                ] {
+                    if needed > capacity {
+                        return Err(RunError::L1Overflow {
+                            layer_index: step_idx,
+                            layer: desc.name.clone(),
+                            engine,
+                            needed,
+                            capacity,
+                            unit,
+                        });
+                    }
                 }
             }
             EngineKind::Cpu => {}
@@ -533,143 +531,23 @@ impl Machine {
         Ok(())
     }
 
-    /// The temporal model of one accelerator layer: the DORY tile loop
-    /// with DMA, weight staging and compute costs. Every DMA transaction
-    /// is routed through the fault context, which accounts injected
-    /// stalls and retries into its per-layer scratch (never into `dma`,
-    /// so the double-buffering adjustment can never hide a fault). Purely
-    /// timing — no tensor data is touched — so the fallback path can
-    /// price the fault-free layer without executing it.
-    fn accel_timing(
+    /// The temporal model of one accelerator layer: the DORY tile loop's
+    /// DMA descriptor list ([`dma_program::linearize_step`]) replayed
+    /// against this platform, plus kernel-call and per-tile host overhead.
+    /// Every descriptor is routed through the fault context in issue
+    /// order, so fault plans indexed by global DMA transaction hit the
+    /// same transfer on every run; injected stalls and retries land in the
+    /// context's per-layer scratch (never in `dma`, so the
+    /// double-buffering adjustment can never hide a fault). Purely timing
+    /// — no tensor data is touched — so the fallback path can price the
+    /// fault-free layer without executing it.
+    fn layer_timing(
         &self,
         engine: EngineKind,
         desc: &AccelLayerDesc,
-        instances: &[TileInstance],
         faults: &mut FaultCtx,
     ) -> Result<CycleBreakdown, DmaAbort> {
-        let geom = &desc.geom;
-        let mut cycles = CycleBreakdown::default();
-        cycles.overhead += match engine {
-            EngineKind::Digital => self.cfg.digital.kernel_call_overhead,
-            EngineKind::Analog => self.cfg.analog.kernel_call_overhead,
-            EngineKind::Cpu => unreachable!("accel steps never target the cpu"),
-        };
-
-        let n_tiles = instances.len();
-        let mut prev_weights: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
-        let mut prev_input: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
-        for inst in instances {
-            cycles.overhead += match engine {
-                EngineKind::Digital => self.cfg.digital.tile_overhead,
-                EngineKind::Analog => self.cfg.analog.tile_overhead,
-                EngineKind::Cpu => unreachable!(),
-            };
-            // Activation DMA in (two operands for element-wise add). The
-            // L1 input buffer is single-buffered per layer, so consecutive
-            // instances over the same (c, oy, ox) slice — e.g. successive
-            // output-channel blocks of an untiled-input layer — reuse the
-            // resident tile without a new transfer.
-            let input_slice = (inst.c.clone(), inst.oy.clone(), inst.ox.clone());
-            if prev_input.as_ref() != Some(&input_slice) {
-                let operand_count = if geom.kind == LayerKind::Add { 2 } else { 1 };
-                let per_operand = dma::dma_cycles(
-                    &self.cfg.dma,
-                    inst.input_bytes(geom),
-                    inst.input_chunks(geom),
-                );
-                for _ in 0..operand_count {
-                    cycles.dma += per_operand;
-                    faults.dma_transfer(per_operand)?;
-                }
-                prev_input = Some(input_slice);
-            }
-            // Weight staging when the (k, c) slice changes — for matmul
-            // the staged b slab also varies with the batch (ox) slice, so
-            // the residency key carries it (empty for weightful kinds).
-            if geom.kind != LayerKind::Add {
-                let batch = if geom.kind == LayerKind::MatMul {
-                    inst.ox.clone()
-                } else {
-                    0..0
-                };
-                let slice = (inst.k.clone(), inst.c.clone(), batch);
-                if prev_weights.as_ref() != Some(&slice) {
-                    cycles.weight_load += match engine {
-                        EngineKind::Digital => {
-                            let elems = match geom.kind {
-                                LayerKind::Conv2d => {
-                                    inst.k.len() * inst.c.len() * geom.fy * geom.fx
-                                }
-                                LayerKind::DepthwiseConv2d => inst.c.len() * geom.fy * geom.fx,
-                                LayerKind::Dense => inst.k.len() * inst.c.len(),
-                                LayerKind::MatMul => inst.k.len() * inst.c.len() * inst.ox.len(),
-                                LayerKind::Add => 0,
-                            };
-                            let load = dma::dma_cycles(
-                                &self.cfg.dma,
-                                geom.w_dtype.storage_bytes(elems),
-                                1,
-                            );
-                            // Digital weight staging rides the DMA, so it
-                            // is a faultable transaction; analog macro row
-                            // programming below is not.
-                            faults.dma_transfer(load)?;
-                            load
-                        }
-                        EngineKind::Analog => {
-                            analog::analog_weight_load_cycles(&self.cfg.analog, geom, inst)
-                        }
-                        EngineKind::Cpu => unreachable!(),
-                    };
-                    prev_weights = Some(slice);
-                }
-            }
-            // Compute.
-            cycles.compute += match engine {
-                EngineKind::Digital => digital::digital_tile_cycles(&self.cfg.digital, geom, inst),
-                EngineKind::Analog => analog::analog_tile_cycles(&self.cfg.analog, geom, inst),
-                EngineKind::Cpu => unreachable!(),
-            };
-            // Output DMA (final reduction slice only).
-            let store = dma::dma_cycles(
-                &self.cfg.dma,
-                inst.output_bytes(geom),
-                inst.output_chunks(geom),
-            );
-            cycles.dma += store;
-            faults.dma_transfer(store)?;
-        }
-
-        // DORY double-buffering (optional): activation DMA of tile i+1
-        // overlaps compute of tile i, leaving only the first-tile fill and
-        // whatever DMA exceeds the compute time exposed. Weight staging is
-        // part of the accelerator instruction and never overlaps. Fault
-        // stalls live in their own bucket and are never overlapped.
-        if self.cfg.dma.double_buffer && n_tiles > 1 {
-            let fill = cycles.dma / n_tiles as u64;
-            cycles.dma = cycles.dma.saturating_sub(cycles.compute).max(fill);
-        }
-
-        // Fused output pooling (paper §III-C): costed by the shared
-        // helper so interpretation and descriptor replay cannot drift.
-        cycles.compute += dma_program::pool_cycles(&self.cfg, engine, desc);
-
-        Ok(cycles)
-    }
-
-    /// The temporal model of one accelerator layer, replayed from its
-    /// compile-time [`StepDma`] descriptor program instead of re-deriving
-    /// per-tile transfer geometry. Cycle- and transaction-order-exact with
-    /// [`Machine::accel_timing`] by construction: descriptors were
-    /// recorded in the interpreter's issue order against this exact
-    /// platform configuration (digest-checked by the caller), so fault
-    /// plans indexed by global DMA transaction hit the same transfers.
-    fn replay_timing(
-        &self,
-        engine: EngineKind,
-        step_dma: &StepDma,
-        faults: &mut FaultCtx,
-    ) -> Result<CycleBreakdown, DmaAbort> {
+        let step_dma = dma_program::linearize_step(&self.cfg, engine, desc);
         let mut cycles = CycleBreakdown::default();
         let (kernel_call, tile_overhead) = match engine {
             EngineKind::Digital => (
@@ -687,14 +565,20 @@ impl Machine {
             let cost = dma_program::descriptor_cycles(&self.cfg, d);
             match d.dir {
                 DmaDir::In | DmaDir::Out => cycles.dma += cost,
+                // Digital weight staging rides the DMA, so it is a
+                // faultable transaction; analog row programming is not.
                 DmaDir::Weight => cycles.weight_load += cost,
             }
             faults.dma_transfer(cost)?;
         }
         cycles.weight_load += step_dma.analog_weight;
         cycles.compute = step_dma.compute;
-        // Same double-buffering adjustment as the interpreter: applied
-        // over the pre-pool compute sum, fault stalls untouched.
+        // DORY double-buffering (optional): activation DMA of tile i+1
+        // overlaps compute of tile i, leaving only the first-tile fill and
+        // whatever DMA exceeds the compute time exposed. Weight staging is
+        // part of the accelerator instruction and never overlaps; fused
+        // pooling is added after the overlap, and fault stalls live in
+        // their own bucket.
         if self.cfg.dma.double_buffer && step_dma.n_tiles > 1 {
             let fill = cycles.dma / step_dma.n_tiles;
             cycles.dma = cycles.dma.saturating_sub(cycles.compute).max(fill);
@@ -703,23 +587,13 @@ impl Machine {
         Ok(cycles)
     }
 
-    /// Prices one accelerator layer from its descriptor program when the
-    /// program describes this tile loop, otherwise by interpreting the
-    /// loop. A tile count that differs from `instances` means the table
-    /// was linearized for another tiling and does not describe this step.
-    fn layer_timing(
-        &self,
-        engine: EngineKind,
-        desc: &AccelLayerDesc,
-        instances: &[TileInstance],
-        replay: Option<&StepDma>,
-        faults: &mut FaultCtx,
-    ) -> Result<CycleBreakdown, DmaAbort> {
-        match replay {
-            Some(p) if p.n_tiles as usize == instances.len() => {
-                self.replay_timing(engine, p, faults)
-            }
-            _ => self.accel_timing(engine, desc, instances, faults),
+    /// The 7-bit DAC clamp on the analog input path, when the platform
+    /// models it; every other engine sees its input unchanged.
+    fn dac_clamp<'a>(&self, engine: EngineKind, t: &'a Tensor) -> Cow<'a, Tensor> {
+        if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
+            Cow::Owned(kernels::clip(t, -63, 63))
+        } else {
+            Cow::Borrowed(t)
         }
     }
 
@@ -733,22 +607,12 @@ impl Machine {
         desc: &AccelLayerDesc,
         input: &Tensor,
         input2: Option<&Tensor>,
-        replay: Option<&StepDma>,
         faults: &mut FaultCtx,
         scratch: &mut kernels::KernelScratch,
     ) -> Result<(Tensor, LayerProfile), RunError> {
         let geom = &desc.geom;
-        // Optional 7-bit DAC clamp on the analog input path.
-        let clamped;
-        let (input, input2) = if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
-            clamped = (
-                kernels::clip(input, -63, 63),
-                input2.map(|t| kernels::clip(t, -63, 63)),
-            );
-            (&clamped.0, clamped.1.as_ref())
-        } else {
-            (input, input2)
-        };
+        let input = self.dac_clamp(engine, input);
+        let input2 = input2.map(|t| self.dac_clamp(engine, t));
         let out_shape: Vec<usize> = match geom.kind {
             LayerKind::Dense => vec![geom.k],
             // Matmul keeps the batched [H, M, N] layout of its operands.
@@ -757,25 +621,24 @@ impl Machine {
         };
         let mut acc = Tensor::zeros(DType::I32, &out_shape);
 
-        let instances = tiles(geom, &desc.tile);
-        let n_tiles = instances.len();
-        let mut cycles = self
-            .layer_timing(engine, desc, &instances, replay, faults)
-            .map_err(|abort| RunError::DmaFailed {
-                layer_index: step_idx,
-                layer: desc.name.clone(),
-                engine,
-                transfer: abort.transfer,
-                attempts: abort.attempts,
-            })?;
+        let mut cycles =
+            self.layer_timing(engine, desc, faults)
+                .map_err(|abort| RunError::DmaFailed {
+                    layer_index: step_idx,
+                    layer: desc.name.clone(),
+                    engine,
+                    transfer: abort.transfer,
+                    attempts: abort.attempts,
+                })?;
         // Collect this layer's injected stalls/retries (includes any L1
         // denial backoff charged before dispatch).
         let (stall, retries) = faults.take_layer_faults();
         cycles.stall += stall;
 
         // Functional execution of exactly each tile's work.
+        let instances = tiles(geom, &desc.tile);
         for inst in &instances {
-            self.exec_tile(desc, input, input2, &mut acc, inst, scratch);
+            self.exec_tile(desc, &input, input2.as_deref(), &mut acc, inst, scratch);
         }
 
         // Fused output path: bias, requantization, activation. On DIANA
@@ -792,7 +655,7 @@ impl Machine {
             engine,
             cycles,
             macs: geom.macs(),
-            n_tiles,
+            n_tiles: instances.len(),
             retries,
         };
         Ok((out, profile))
@@ -805,7 +668,6 @@ impl Machine {
     /// before the CPU cost — a faulted run is never cheaper than the
     /// fault-free one. The fallback graph reproduces the accelerator's
     /// fused output path (including the analog DAC clamp) bit for bit.
-    #[allow(clippy::too_many_arguments)]
     fn exec_fallback(
         &self,
         step_idx: usize,
@@ -813,30 +675,18 @@ impl Machine {
         desc: &AccelLayerDesc,
         kernel: &FallbackKernel,
         (input, input2): (&Tensor, Option<&Tensor>),
-        replay: Option<&StepDma>,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
-        let instances = tiles(&desc.geom, &desc.tile);
         let timeout = self
-            .layer_timing(engine, desc, &instances, replay, &mut FaultCtx::inert())
+            .layer_timing(engine, desc, &mut FaultCtx::inert())
             .expect("inert fault context cannot abort")
             .total();
 
         // Mirror the analog input DAC clamp so the fallback sees exactly
         // the bits the accelerator would have.
-        let clamped;
-        let (input, input2) = if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
-            clamped = (
-                kernels::clip(input, -63, 63),
-                input2.map(|t| kernels::clip(t, -63, 63)),
-            );
-            (&clamped.0, clamped.1.as_ref())
-        } else {
-            (input, input2)
-        };
-        let mut args = vec![input.clone()];
+        let mut args = vec![self.dac_clamp(engine, input).into_owned()];
         if let Some(second) = input2 {
-            args.push(second.clone());
+            args.push(self.dac_clamp(engine, second).into_owned());
         }
         let mut out = kernels::evaluate(&kernel.graph, &args).map_err(|e| RunError::Eval {
             layer_index: step_idx,
@@ -1029,7 +879,6 @@ mod tests {
             outputs: vec![BufferId(1)],
             activation_peak: 4 * 64 + 6 * 64,
             fallbacks: crate::FallbackTable::default(),
-            dma: crate::DmaTable::default(),
         };
         (program, input, reference)
     }
@@ -1577,63 +1426,11 @@ mod tests {
         );
     }
 
-    /// Attaches a freshly linearized DMA descriptor table (for `cfg`) to
-    /// every accelerator step of the program.
-    fn with_dma_table(mut program: Program, cfg: &DianaConfig) -> Program {
-        let mut table = crate::DmaTable::new(cfg);
-        for (idx, step) in program.steps.iter().enumerate() {
-            if let Step::Accel { engine, desc, .. } = step {
-                table.insert(idx, crate::linearize_step(cfg, *engine, desc));
-            }
-        }
-        program.dma = table;
-        program
-    }
-
     #[test]
-    fn descriptor_replay_is_cycle_and_bit_exact() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let mut serial = DianaConfig::default();
-        let mut overlapped = DianaConfig::default();
-        overlapped.dma.double_buffer = true;
-        serial.analog.clamp_inputs_7bit = false;
-        for cfg in [serial, overlapped] {
-            for engine in [EngineKind::Digital, EngineKind::Analog] {
-                for tile in [
-                    TileConfig::full(&geom),
-                    TileConfig {
-                        c_t: 2,
-                        k_t: 3,
-                        oy_t: 4,
-                        ox_t: 8,
-                    },
-                    TileConfig {
-                        c_t: 1,
-                        k_t: 1,
-                        oy_t: 2,
-                        ox_t: 3,
-                    },
-                ] {
-                    let (program, input, _) = conv_program(tile, engine);
-                    let replayed = with_dma_table(program.clone(), &cfg);
-                    let m = Machine::new(cfg);
-                    let interp = m.run(&program, std::slice::from_ref(&input)).unwrap();
-                    let replay = m.run(&replayed, std::slice::from_ref(&input)).unwrap();
-                    assert_eq!(
-                        interp, replay,
-                        "replay must be bit- and cycle-exact ({engine} {tile:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replay_preserves_fault_transaction_order() {
-        // Faults are addressed by global DMA transaction index; replay
-        // must issue transactions in the interpreter's exact order —
-        // zero-byte output stores included — or plans would hit
-        // different transfers.
+    fn fault_index_order_follows_the_descriptor_walk() {
+        // Faults are addressed by global DMA transaction index, in the
+        // order `linearize_step` issues descriptors — zero-byte output
+        // stores of a c-split conv included.
         let tile = TileConfig {
             c_t: 2,
             k_t: 3,
@@ -1641,131 +1438,76 @@ mod tests {
             ox_t: 8,
         };
         let cfg = DianaConfig::default();
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let replayed = with_dma_table(program.clone(), &cfg);
+        let (program, input, reference) = conv_program(tile, EngineKind::Digital);
+        let Step::Accel { desc, .. } = &program.steps[0] else {
+            panic!("conv_program starts with an accel step");
+        };
+        let descriptors = crate::linearize_step(&cfg, EngineKind::Digital, desc).descriptors;
+        assert!(descriptors
+            .iter()
+            .any(|d| d.dir == DmaDir::Out && d.bytes == 0));
+        let n = descriptors.len() as u64;
         let m = Machine::new(cfg);
-        let n_transfers = replayed.dma.get(0).unwrap().descriptors.len() as u64;
-        assert!(n_transfers > 3);
-        for transfer in 0..n_transfers {
+        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
+        let stall_at = |transfer| {
             let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
                 transfer,
                 cycles: 999,
             });
-            let interp = m
-                .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            let replay = m
-                .run_with_faults(&replayed, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            assert_eq!(interp, replay, "stall at transfer {transfer}");
-        }
-        // Retry-exhaustion aborts identify the same failing transfer.
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaFail {
-            transfer: 1,
-            attempts: 99,
-        });
-        let ei = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap_err();
-        let er = m.run_with_faults(&replayed, &[input], &plan).unwrap_err();
-        match (ei, er) {
-            (
-                RunError::DmaFailed {
-                    transfer: ti,
-                    attempts: ai,
-                    ..
-                },
-                RunError::DmaFailed {
-                    transfer: tr,
-                    attempts: ar,
-                    ..
-                },
-            ) => {
-                assert_eq!(ti, tr);
-                assert_eq!(ai, ar);
-            }
-            other => panic!("expected DmaFailed on both paths, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn foreign_platform_digest_falls_back_to_interpretation() {
-        // A table linearized for the default platform must be ignored on
-        // a machine with different cost constants: the run still succeeds
-        // and prices exactly like the table-free program.
-        let tile = TileConfig {
-            c_t: 2,
-            k_t: 3,
-            oy_t: 4,
-            ox_t: 8,
+            m.run_with_faults(&program, std::slice::from_ref(&input), &plan)
+                .unwrap()
         };
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let replayed = with_dma_table(program.clone(), &DianaConfig::default());
-        let mut other = DianaConfig::default();
-        other.dma.setup_cycles = 77;
-        other.digital.tile_overhead = 111;
-        let m = Machine::new(other);
-        let interp = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let replay = m.run(&replayed, std::slice::from_ref(&input)).unwrap();
-        assert_eq!(interp, replay, "stale tables must not perturb a cycle");
+        for t in 0..n {
+            let stalled = stall_at(t);
+            assert_eq!(stalled.outputs[0], reference, "stall at transfer {t}");
+            assert_eq!(stalled.layers[0].cycles.stall, 999, "stall at transfer {t}");
+            assert_eq!(stalled.total_cycles(), clean.total_cycles() + 999);
+
+            let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaFail {
+                transfer: t,
+                attempts: 99,
+            });
+            match m.run_with_faults(&program, std::slice::from_ref(&input), &plan) {
+                Err(RunError::DmaFailed { transfer, .. }) => assert_eq!(transfer, t),
+                other => panic!("expected DmaFailed at transfer {t}, got {other:?}"),
+            }
+        }
+        // One past the layer's last descriptor is never issued.
+        assert_eq!(stall_at(n), clean);
     }
 
     #[test]
-    fn fallback_timeout_priced_from_descriptors_matches_interpreter() {
+    fn analog_overflow_names_the_violated_dimension() {
+        // 4 input channels × 3×3 taps = 36 rows; 6 output channels = 6
+        // columns. Shrink one array dimension at a time below the need.
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let cfg = DianaConfig::default();
-        let (mut program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
-        let replayed = with_dma_table(program.clone(), &cfg);
-        let m = Machine::new(cfg);
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        let interp = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap();
-        let replay = m.run_with_faults(&replayed, &[input], &plan).unwrap();
-        assert_eq!(interp.outputs[0], reference);
-        assert_eq!(interp, replay, "degraded-path timeout must price equally");
-    }
-
-    #[test]
-    fn fallback_timeout_ignores_a_table_for_another_tiling() {
-        // The table was linearized for a different tiling of the same
-        // layer under the same platform, so its digest matches but its
-        // tile count does not: the engine-off timeout must be priced by
-        // the interpreter, exactly as for the table-free program.
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let cfg = DianaConfig::default();
-        let (mut program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
-        let (other_tiling, _, _) = conv_program(
-            TileConfig {
-                c_t: 2,
-                k_t: 3,
-                oy_t: 4,
-                ox_t: 8,
-            },
-            EngineKind::Digital,
-        );
-        let mut stale = program.clone();
-        stale.dma = with_dma_table(other_tiling, &cfg).dma;
-        assert!(stale.dma.get(0).unwrap().n_tiles > 1);
-        let m = Machine::new(cfg);
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        let clean = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap();
-        let faulted = m.run_with_faults(&stale, &[input], &plan).unwrap();
-        assert_eq!(faulted.outputs[0], reference);
-        assert_eq!(faulted.layers[0].engine, EngineKind::Cpu);
-        assert_eq!(faulted.layers[0].cycles.stall, clean.layers[0].cycles.stall);
-        assert_eq!(faulted, clean);
+        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
+        for (rows, cols, needed, capacity, unit) in [
+            (32, 512, 36, 32, "analog rows"),
+            (1152, 4, 6, 4, "analog columns"),
+        ] {
+            let mut cfg = DianaConfig::default();
+            cfg.analog.rows = rows;
+            cfg.analog.cols = cols;
+            let err = Machine::new(cfg)
+                .run(&program, std::slice::from_ref(&input))
+                .unwrap_err();
+            match &err {
+                RunError::L1Overflow {
+                    needed: n,
+                    capacity: c,
+                    unit: u,
+                    ..
+                } => assert_eq!((*n, *c, *u), (needed, capacity, unit)),
+                other => panic!("expected L1Overflow, got {other:?}"),
+            }
+            let text = err.to_string();
+            assert!(
+                text.contains(&format!("needs {needed} {unit}"))
+                    && text.contains(&format!("capacity of {capacity} {unit}"))
+                    && !text.contains("byte"),
+                "{text}"
+            );
+        }
     }
 }

@@ -253,12 +253,6 @@ pub struct Program {
     /// degradation under engine-off faults); may be empty.
     #[serde(default)]
     pub fallbacks: FallbackTable,
-    /// Pre-linearized DMA descriptor programs for accelerator steps,
-    /// replayed by the machine instead of re-deriving per-tile transfer
-    /// geometry at run time; may be empty (the machine then interprets
-    /// the tile loop as before, with identical cycles and bits).
-    #[serde(default)]
-    pub dma: crate::DmaTable,
 }
 
 impl Program {

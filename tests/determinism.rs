@@ -320,3 +320,71 @@ fn artifact_serialization_round_trips() {
     let back: htvm::Artifact = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(artifact, back);
 }
+
+#[test]
+fn artifacts_carrying_a_dma_table_still_load() {
+    // Earlier builds persisted every accelerator step's pre-linearized DMA
+    // descriptor list as `program.dma`, under the same compiler stamp. The
+    // simulator now derives that list per layer at run time, so a warm
+    // restart must read such an artifact, ignore the table, and run it
+    // exactly like a freshly compiled one.
+    let model = ds_cnn(QuantScheme::Mixed);
+    let compiler = Compiler::new().with_deploy(DeployConfig::Both);
+    let artifact = compiler.compile(&model.graph).expect("compiles");
+    let mut entries = Vec::new();
+    for (idx, step) in artifact.program.steps.iter().enumerate() {
+        if let htvm::Step::Accel { engine, desc, .. } = step {
+            let step_dma = htvm_soc::linearize_step(compiler.platform(), *engine, desc);
+            let descriptors: Vec<_> = step_dma
+                .descriptors
+                .iter()
+                .map(|d| {
+                    serde_json::json!({
+                        "dir": format!("{:?}", d.dir),
+                        "bytes": d.bytes,
+                        "chunks": d.chunks,
+                    })
+                })
+                .collect();
+            entries.push(serde_json::json!([
+                idx,
+                {
+                    "n_tiles": step_dma.n_tiles,
+                    "compute": step_dma.compute,
+                    "pool": step_dma.pool,
+                    "analog_weight": step_dma.analog_weight,
+                    "descriptors": descriptors,
+                }
+            ]));
+        }
+    }
+    assert!(entries.len() > 1, "ds_cnn/both has accelerator steps");
+    let table = serde_json::json!({
+        "platform_digest": 10999781975724145071u64,
+        "entries": entries,
+    });
+
+    let mut value = serde_json::to_value(&artifact);
+    let serde_json::Value::Object(fields) = &mut value else {
+        panic!("artifacts serialize as objects");
+    };
+    let (_, program) = fields
+        .iter_mut()
+        .find(|(k, _)| k == "program")
+        .expect("artifacts carry a program");
+    let serde_json::Value::Object(program_fields) = program else {
+        panic!("programs serialize as objects");
+    };
+    program_fields.push(("dma".to_string(), table));
+    let persisted = serde_json::to_string(&value).expect("serializes");
+    assert!(persisted.contains("\"dma\":{\"platform_digest\""));
+
+    let loaded: htvm::Artifact = serde_json::from_str(&persisted).expect("parent artifact loads");
+    assert_eq!(loaded, artifact);
+    let machine = Machine::new(*compiler.platform());
+    let input = [model.input(7)];
+    assert_eq!(
+        machine.run(&loaded.program, &input).expect("runs"),
+        machine.run(&artifact.program, &input).expect("runs")
+    );
+}
