@@ -115,7 +115,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
             },
             binary: BinarySize::default(),
             stats: CompileStats::default(),
@@ -150,7 +149,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
             },
             binary: BinarySize::default(),
             stats: CompileStats::default(),

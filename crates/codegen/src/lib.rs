@@ -29,7 +29,6 @@ mod artifact;
 pub mod binsize;
 mod error;
 mod extract;
-mod fallback;
 mod fuse;
 mod lower;
 mod single;
@@ -37,7 +36,6 @@ mod single;
 pub use artifact::{Artifact, CompileStats, LayerAssignment};
 pub use error::LowerError;
 pub use extract::{extract, ExtractedLayer};
-pub use fallback::cpu_fallback;
 pub use fuse::fuse_cpu_nodes;
 pub use lower::{lower, LowerOptions};
 pub use single::single_layer_program;

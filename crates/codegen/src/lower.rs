@@ -20,8 +20,7 @@ use htvm_dory::{solve, ArrayDims, MemoryBudget, TileCache, TileSolution, TilingO
 use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind};
 use htvm_pattern::{PartitionedGraph, Region};
 use htvm_soc::{
-    AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, EngineKind, FallbackTable,
-    Program, Step,
+    AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, EngineKind, Program, Step,
 };
 use htvm_trace::{tracks, Span, Tracer};
 use rayon::prelude::*;
@@ -52,18 +51,12 @@ pub struct LowerOptions {
     pub tile_cache: Option<TileCache>,
     /// Fan the solve phase out across threads. Off, lowering is fully
     /// sequential — same artifact, byte for byte; the determinism tests
-    /// and the `compile_time` bench baseline rely on that.
+    /// rely on that.
     pub parallel: bool,
     /// Layers already extracted upstream (the dispatch hook extracts to
     /// see geometries), keyed by match root. Regions found here skip
     /// re-extraction in the solve phase.
     pub extracted: HashMap<NodeId, ExtractedLayer>,
-    /// Compile a CPU fallback kernel for every accelerator step, so the
-    /// simulator can degrade gracefully when a fault plan takes an engine
-    /// offline mid-run (see `docs/FAULTS.md`). On by default; turn off to
-    /// measure the binary-size cost of carrying the fallbacks or to force
-    /// `RunError::EngineUnavailable` in fault experiments.
-    pub emit_fallbacks: bool,
     /// Span collector for compile-phase observability (see
     /// `docs/OBSERVABILITY.md`). Disabled by default; when enabled,
     /// lowering records a phase span for the solve, emit and L2-planning
@@ -84,7 +77,6 @@ impl Default for LowerOptions {
             tile_cache: None,
             parallel: true,
             extracted: HashMap::new(),
-            emit_fallbacks: true,
             tracer: Tracer::disabled(),
         }
     }
@@ -290,7 +282,6 @@ pub fn lower(
     let emit_t0 = tracer.elapsed_us();
     let emit_start = Instant::now();
     let mut steps: Vec<Step> = Vec::new();
-    let mut fallbacks = FallbackTable::new();
     let mut assignments: Vec<LayerAssignment> = Vec::new();
     let mut producer_step: HashMap<BufferId, usize> = HashMap::new();
     let mut last_consumer: HashMap<BufferId, usize> = HashMap::new();
@@ -348,11 +339,6 @@ pub fn lower(
                     relu: e.relu,
                     pool: e.pool,
                 };
-                if opts.emit_fallbacks {
-                    if let Some(kernel) = crate::fallback::cpu_fallback(&desc) {
-                        fallbacks.insert(step_idx, kernel);
-                    }
-                }
                 steps.push(Step::Accel {
                     engine,
                     desc,
@@ -399,8 +385,7 @@ pub fn lower(
                 emit_start.elapsed().as_micros() as u64,
             )
             .with_arg("steps", steps.len())
-            .with_arg("buffers", buffers.len())
-            .with_arg("fallbacks", fallbacks.len()),
+            .with_arg("buffers", buffers.len()),
         );
     }
 
@@ -485,7 +470,6 @@ pub fn lower(
             inputs,
             outputs,
             activation_peak,
-            fallbacks,
         },
         binary,
         assignments,
@@ -592,27 +576,6 @@ mod tests {
         assert_eq!(artifact.program.inputs.len(), 1);
         assert_eq!(artifact.program.outputs.len(), 1);
         assert!(artifact.binary.total() > 0);
-        // Every accelerator step carries a pre-compiled CPU fallback.
-        assert_eq!(artifact.program.fallbacks.len(), 2);
-        for (step_idx, kernel) in artifact.program.fallbacks.iter() {
-            assert!(matches!(
-                artifact.program.steps[step_idx],
-                Step::Accel { .. }
-            ));
-            assert!(kernel.name.ends_with("_cpu_fallback"));
-        }
-    }
-
-    #[test]
-    fn fallback_emission_can_be_disabled() {
-        let g = sample_graph();
-        let part = partition(&g, &[conv_pattern()], |_, _| Some(EngineKind::Digital));
-        let opts = LowerOptions {
-            emit_fallbacks: false,
-            ..LowerOptions::default()
-        };
-        let artifact = lower(&g, &part, &DianaConfig::default(), &opts).unwrap();
-        assert!(artifact.program.fallbacks.is_empty());
     }
 
     #[test]

@@ -188,15 +188,6 @@ impl Compiler {
         self
     }
 
-    /// Controls whether every accelerator step gets a pre-compiled CPU
-    /// fallback kernel for graceful degradation under engine faults (see
-    /// `docs/FAULTS.md`). On by default.
-    #[must_use]
-    pub fn with_fallbacks(mut self, emit: bool) -> Self {
-        self.lower_opts.emit_fallbacks = emit;
-        self
-    }
-
     /// The platform this compiler targets.
     #[must_use]
     pub fn platform(&self) -> &DianaConfig {

@@ -67,8 +67,7 @@ pub use htvm_dory::{
 };
 pub use htvm_ir::{DType, Graph, GraphBuilder, IrError, Tensor};
 pub use htvm_soc::{
-    AccelLayerDesc, DianaConfig, EnergyConfig, EngineKind, FallbackKernel, FallbackTable,
-    FaultEvent, FaultPlan, LayerProfile, Machine, PerfCounters, Program, RetryPolicy, RunError,
-    RunReport, Step,
+    AccelLayerDesc, DianaConfig, EnergyConfig, EngineKind, FaultEvent, FaultPlan, LayerProfile,
+    Machine, PerfCounters, Program, RetryPolicy, RunError, RunReport, Step,
 };
 pub use htvm_trace::{tracks, ArgValue, Span, TimeDomain, Trace, Tracer, Track};

@@ -58,9 +58,7 @@ pub use gemm::{gemm_accumulate, gemm_accumulate_blocked, DEFAULT_KC, MR};
 pub use im2col::{conv2d_im2col, im2col};
 pub use layer_norm::layer_norm;
 pub use matmul::{matmul, matmul_accumulate_region, matmul_accumulate_region_ref};
-pub use policy::{
-    num_threads, parse_num_threads, parse_tier, GemmTuning, KernelPolicy, KernelTier,
-};
+pub use policy::{num_threads, parse_num_threads, GemmTuning, KernelPolicy, KernelTier};
 pub use pool::pool2d;
 pub use scratch::KernelScratch;
 pub use softmax::softmax;

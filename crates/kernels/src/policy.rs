@@ -129,15 +129,11 @@ impl KernelPolicy {
 
     /// Chooses the tier and thread count for a convolution call over a
     /// `k_len × (oy_len·ox_len)` output block reducing `c_len·fy·fx`
-    /// inputs per element. Every shape takes the im2col GEMM unless the
-    /// reference tier is forced: it measured faster than direct loops
-    /// even on the smallest zoo tiles (see `docs/KERNELS.md`).
+    /// inputs per element. Every shape takes the im2col GEMM: it measured
+    /// faster than direct loops even on the smallest zoo tiles (see
+    /// `docs/KERNELS.md`).
     #[must_use]
     pub fn for_conv(k_len: usize, c_len: usize, fy: usize, fx: usize, cols: usize) -> Self {
-        let tier = match tier_override() {
-            Some(KernelTier::Reference) => KernelTier::Reference,
-            _ => KernelTier::Im2colGemm,
-        };
         let macs = k_len * c_len * fy * fx * cols;
         let threads = if macs >= PAR_MIN_MACS {
             num_threads().min(k_len).max(1)
@@ -145,7 +141,7 @@ impl KernelPolicy {
             1
         };
         KernelPolicy {
-            tier,
+            tier: KernelTier::Im2colGemm,
             threads,
             kc: DEFAULT_KC,
         }
@@ -156,10 +152,10 @@ impl KernelPolicy {
     /// layers in the zoo are far below the parallelism threshold.
     #[must_use]
     pub fn for_dense(k_len: usize, c_len: usize) -> Self {
-        let tier = match tier_override() {
-            Some(t) => t,
-            None if k_len >= GEMM_MIN_K && c_len >= GEMM_MIN_ROWS => KernelTier::Im2colGemm,
-            None => KernelTier::Direct,
+        let tier = if k_len >= GEMM_MIN_K && c_len >= GEMM_MIN_ROWS {
+            KernelTier::Im2colGemm
+        } else {
+            KernelTier::Direct
         };
         KernelPolicy {
             tier,
@@ -178,12 +174,8 @@ impl KernelPolicy {
     #[must_use]
     pub fn for_matmul(m_len: usize, n_len: usize, d_len: usize) -> Self {
         let _ = (m_len, n_len, d_len);
-        let tier = match tier_override() {
-            Some(KernelTier::Reference) => KernelTier::Reference,
-            _ => KernelTier::Direct,
-        };
         KernelPolicy {
-            tier,
+            tier: KernelTier::Direct,
             threads: 1,
             kc: DEFAULT_KC,
         }
@@ -194,10 +186,6 @@ impl KernelPolicy {
     /// applies).
     #[must_use]
     pub fn for_depthwise(c_len: usize, fy: usize, fx: usize, cols: usize) -> Self {
-        let tier = match tier_override() {
-            Some(KernelTier::Reference) => KernelTier::Reference,
-            _ => KernelTier::Direct,
-        };
         let macs = c_len * fy * fx * cols;
         let threads = if macs >= PAR_MIN_MACS {
             num_threads().min(c_len).max(1)
@@ -205,7 +193,7 @@ impl KernelPolicy {
             1
         };
         KernelPolicy {
-            tier,
+            tier: KernelTier::Direct,
             threads,
             kc: DEFAULT_KC,
         }
@@ -240,31 +228,9 @@ pub fn parse_num_threads(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Parses an `HTVM_KERNEL_TIER` value (case-insensitive). Pure for the
-/// same reason as [`parse_num_threads`].
-///
-/// `auto` (or empty) explicitly requests automatic shape-based
-/// selection, same as leaving the variable unset.
-///
-/// # Errors
-///
-/// Unknown tier names are errors listing the accepted values.
-pub fn parse_tier(raw: &str) -> Result<Option<KernelTier>, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "reference" => Ok(Some(KernelTier::Reference)),
-        "direct" => Ok(Some(KernelTier::Direct)),
-        "gemm" => Ok(Some(KernelTier::Im2colGemm)),
-        "auto" | "" => Ok(None),
-        other => Err(format!(
-            "HTVM_KERNEL_TIER={other:?} is not a known tier \
-             (expected reference, direct, gemm or auto)"
-        )),
-    }
-}
-
 /// Prints `warning` to stderr the first time each distinct message is
 /// seen. The kernels re-read the environment on every dispatch (so tests
-/// can flip the variables mid-process), but a long-lived serving process
+/// can flip the variable mid-process), but a long-lived serving process
 /// with a misconfigured environment must not log on every layer of every
 /// job.
 fn warn_once(warning: &str) {
@@ -299,19 +265,6 @@ pub fn num_threads() -> usize {
         }),
         Err(_) => default_threads(),
     }
-}
-
-/// `HTVM_KERNEL_TIER` override (`reference`, `direct`, `gemm`; `auto` or
-/// unset means automatic shape-based selection). Unknown values warn
-/// once on stderr and fall back to automatic selection. A kernel without
-/// the requested tier keeps its own fast tier: `direct` on a standard
-/// convolution runs the GEMM, `gemm` on depthwise or matmul runs direct.
-fn tier_override() -> Option<KernelTier> {
-    let raw = std::env::var("HTVM_KERNEL_TIER").ok()?;
-    parse_tier(&raw).unwrap_or_else(|warning| {
-        warn_once(&format!("{warning}; using automatic selection"));
-        None
-    })
 }
 
 #[cfg(test)]
@@ -410,26 +363,5 @@ mod tests {
         }
         // Zero gets the specific "need a positive" message.
         assert!(parse_num_threads("0").unwrap_err().contains("zero"));
-    }
-
-    #[test]
-    fn parse_tier_accepts_known_names_case_insensitively() {
-        assert_eq!(parse_tier("reference"), Ok(Some(KernelTier::Reference)));
-        assert_eq!(parse_tier("Direct"), Ok(Some(KernelTier::Direct)));
-        assert_eq!(parse_tier(" GEMM "), Ok(Some(KernelTier::Im2colGemm)));
-        assert_eq!(parse_tier("auto"), Ok(None));
-        assert_eq!(parse_tier(""), Ok(None));
-    }
-
-    #[test]
-    fn parse_tier_rejects_unknown_names_with_the_menu() {
-        for bad in ["fast", "im2col", "gem", "0"] {
-            let err = parse_tier(bad).unwrap_err();
-            assert!(err.contains("HTVM_KERNEL_TIER"), "{err}");
-            assert!(
-                err.contains("reference") && err.contains("gemm"),
-                "warning should list accepted values: {err}"
-            );
-        }
     }
 }

@@ -225,7 +225,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
             },
             binary: Default::default(),
             assignments: vec![],

@@ -29,7 +29,6 @@ struct LowerFingerprint {
     naive_l2: bool,
     l1_act_override: Option<usize>,
     size_model: htvm::binsize::BinarySizeModel,
-    emit_fallbacks: bool,
 }
 
 /// A content-addressed identity for one compile request.
@@ -62,7 +61,6 @@ impl ArtifactKey {
             naive_l2: opts.naive_l2,
             l1_act_override: opts.l1_act_override,
             size_model: opts.size_model,
-            emit_fallbacks: opts.emit_fallbacks,
         };
         let mut bytes = canonical_form(graph);
         bytes.extend_from_slice(b"\0platform_id:");
@@ -197,8 +195,8 @@ mod tests {
             ArtifactKey::new("diana", &conv_graph(8), DeployConfig::Both, &small, &opts);
         assert_ne!(base, other_platform, "platform model must feed the key");
 
-        let no_fallbacks = LowerOptions {
-            emit_fallbacks: false,
+        let naive = LowerOptions {
+            naive_l2: true,
             ..LowerOptions::default()
         };
         let other_opts = ArtifactKey::new(
@@ -206,7 +204,7 @@ mod tests {
             &conv_graph(8),
             DeployConfig::Both,
             &platform,
-            &no_fallbacks,
+            &naive,
         );
         assert_ne!(base, other_opts, "lowering options must feed the key");
     }

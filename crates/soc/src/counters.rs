@@ -75,8 +75,8 @@ pub struct PerfCounters {
     pub l1_stall_cycles: u64,
     /// L1 allocation re-requests after injected denials.
     pub l1_retries: u64,
-    /// Accelerator steps degraded to their pre-compiled CPU fallback
-    /// because the target engine was offline.
+    /// Accelerator steps degraded to a CPU fallback because the target
+    /// engine was offline.
     pub engine_fallbacks: u64,
 }
 

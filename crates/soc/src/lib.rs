@@ -46,6 +46,7 @@ mod digital;
 mod dma;
 mod dma_program;
 mod energy;
+mod fallback;
 mod faults;
 mod listing;
 mod machine;
@@ -67,7 +68,6 @@ pub use listing::render_listing;
 pub use machine::{Machine, RunError};
 pub use manifest::{Capabilities, ManifestError, PlatformManifest, PlatformSpec, DEFAULT_PLATFORM};
 pub use program::{
-    AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FallbackKernel, FallbackTable,
-    FusedPool, Program, Step,
+    AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FusedPool, Program, Step,
 };
 pub use timeline::{render_timeline, TimelineOptions};

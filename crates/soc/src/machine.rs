@@ -1,10 +1,11 @@
 //! The program executor: functional semantics + cycle accounting.
 
 use crate::dma_program::{self, DmaDir};
+use crate::fallback::cpu_fallback;
 use crate::faults::{DmaAbort, FaultCtx};
 use crate::{
-    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, FallbackKernel,
-    FaultPlan, LayerProfile, Program, RunReport, Step,
+    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, FaultPlan,
+    LayerProfile, Program, RunReport, Step,
 };
 use htvm_dory::{tiles, LayerKind, TileInstance};
 use htvm_ir::{DType, Tensor};
@@ -75,8 +76,8 @@ pub enum RunError {
         /// Failures observed (exceeds the retry budget).
         attempts: u32,
     },
-    /// An engine was offline at this step and the program carries no CPU
-    /// fallback for it (compiled with fallbacks disabled).
+    /// An engine was offline at this step and the host cannot express the
+    /// step's descriptor as a CPU fallback graph.
     EngineUnavailable {
         /// Failing step index into [`Program::steps`].
         layer_index: usize,
@@ -99,6 +100,18 @@ pub enum RunError {
         elapsed_cycles: u64,
         /// The budget that was exceeded.
         budget_cycles: u64,
+    },
+    /// An accelerator step lacks an operand its layer kind needs: weights
+    /// for conv, depthwise and dense, a second input for matmul and add.
+    /// Checked for every step before the run starts, so a malformed
+    /// loaded artifact is refused rather than half-executed.
+    MalformedStep {
+        /// Failing step index into [`Program::steps`].
+        layer_index: usize,
+        /// The malformed layer.
+        layer: String,
+        /// What the step is missing.
+        detail: String,
     },
     /// An injected L1 allocation denial persisted beyond the retry budget.
     L1Denied {
@@ -155,8 +168,13 @@ impl fmt::Display for RunError {
                 engine,
             } => write!(
                 f,
-                "step {layer_index} ('{layer}'): engine {engine} is offline and no CPU fallback was compiled"
+                "step {layer_index} ('{layer}'): engine {engine} is offline and the host cannot express the layer as a CPU fallback"
             ),
+            RunError::MalformedStep {
+                layer_index,
+                layer,
+                detail,
+            } => write!(f, "step {layer_index} ('{layer}'): malformed step: {detail}"),
             RunError::L1Denied {
                 layer_index,
                 layer,
@@ -197,6 +215,7 @@ impl RunError {
             | RunError::L1Overflow { layer_index, .. }
             | RunError::DmaFailed { layer_index, .. }
             | RunError::EngineUnavailable { layer_index, .. }
+            | RunError::MalformedStep { layer_index, .. }
             | RunError::L1Denied { layer_index, .. }
             | RunError::DeadlineExceeded { layer_index, .. } => Some(*layer_index),
             _ => None,
@@ -275,8 +294,8 @@ impl Machine {
     /// retried with the plan's bounded backoff; the recovery cost lands in
     /// each layer's `stall` cycles, its `retries` count and the report's
     /// [`PerfCounters`](crate::PerfCounters). Permanent engine-off faults
-    /// degrade the affected steps to the program's pre-compiled CPU
-    /// fallbacks. Faults never change the computed bits: a recoverable
+    /// degrade the affected steps to CPU fallbacks rebuilt from their
+    /// descriptors. Faults never change the computed bits: a recoverable
     /// plan yields outputs bit-exact with the fault-free run, at equal or
     /// higher cycle cost. An empty plan reproduces [`Machine::run`]
     /// exactly, cycle for cycle.
@@ -285,8 +304,9 @@ impl Machine {
     ///
     /// Returns [`RunError`] on signature mismatch, on transient faults
     /// that exhaust the retry budget ([`RunError::DmaFailed`],
-    /// [`RunError::L1Denied`]), and on an offline engine with no compiled
-    /// fallback ([`RunError::EngineUnavailable`]).
+    /// [`RunError::L1Denied`]), on an offline engine whose step the host
+    /// cannot express ([`RunError::EngineUnavailable`]), and on an
+    /// accelerator step missing an operand ([`RunError::MalformedStep`]).
     pub fn run_with_faults(
         &self,
         program: &Program,
@@ -346,12 +366,14 @@ impl Machine {
         let mut faults = FaultCtx::from_plan(plan);
         // One kernel scratch arena for the whole run, sized once for the
         // largest tile any accelerator step executes, so the tile loop
-        // never allocates im2col or accumulator buffers per call.
+        // never allocates im2col or accumulator buffers per call. The same
+        // pass checks every accelerator step's operands.
         let mut scratch = kernels::KernelScratch::new();
         {
             let (mut im2col_max, mut acc_max) = (0usize, 0usize);
-            for step in &program.steps {
-                if let Step::Accel { desc, .. } = step {
+            for (step_idx, step) in program.steps.iter().enumerate() {
+                if let Step::Accel { desc, input2, .. } = step {
+                    check_operands(step_idx, desc, *input2)?;
                     let g = &desc.geom;
                     let t = &desc.tile;
                     let cols = t.oy_t * t.ox_t;
@@ -377,21 +399,7 @@ impl Machine {
                     let a = take_ref(&values, *input);
                     let b = input2.map(|id| take_ref(&values, id).clone());
                     let (tensor, profile) = if faults.engine_offline(*engine, step_idx) {
-                        let Some(kernel) = program.fallbacks.get(step_idx) else {
-                            return Err(RunError::EngineUnavailable {
-                                layer_index: step_idx,
-                                layer: desc.name.clone(),
-                                engine: *engine,
-                            });
-                        };
-                        self.exec_fallback(
-                            step_idx,
-                            *engine,
-                            desc,
-                            kernel,
-                            (a, b.as_ref()),
-                            &mut faults,
-                        )?
+                        self.exec_fallback(step_idx, *engine, desc, (a, b.as_ref()), &mut faults)?
                     } else {
                         self.check_tile_fits(step_idx, *engine, desc)?;
                         faults
@@ -661,22 +669,28 @@ impl Machine {
         Ok((out, profile))
     }
 
-    /// Graceful degradation: executes an accelerator step's pre-compiled
-    /// CPU fallback because its engine is offline. The host only learns
-    /// the engine is gone by timing out the kernel call, so the degraded
-    /// layer is charged the full fault-free accelerator cost as stall
-    /// before the CPU cost — a faulted run is never cheaper than the
-    /// fault-free one. The fallback graph reproduces the accelerator's
-    /// fused output path (including the analog DAC clamp) bit for bit.
+    /// Graceful degradation: rebuilds an accelerator step as a CPU
+    /// fallback graph from its descriptor and executes it, because the
+    /// step's engine is offline. The host only learns the engine is gone
+    /// by timing out the kernel call, so the degraded layer is charged the
+    /// full fault-free accelerator cost as stall before the CPU cost — a
+    /// faulted run is never cheaper than the fault-free one. The fallback
+    /// graph reproduces the accelerator's fused output path (including
+    /// the analog DAC clamp) bit for bit.
     fn exec_fallback(
         &self,
         step_idx: usize,
         engine: EngineKind,
         desc: &AccelLayerDesc,
-        kernel: &FallbackKernel,
         (input, input2): (&Tensor, Option<&Tensor>),
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
+        let graph = cpu_fallback(desc).ok_or_else(|| RunError::EngineUnavailable {
+            layer_index: step_idx,
+            layer: desc.name.clone(),
+            engine,
+        })?;
+        let name = format!("{}_cpu_fallback", desc.name);
         let timeout = self
             .layer_timing(engine, desc, &mut FaultCtx::inert())
             .expect("inert fault context cannot abort")
@@ -688,16 +702,16 @@ impl Machine {
         if let Some(second) = input2 {
             args.push(self.dac_clamp(engine, second).into_owned());
         }
-        let mut out = kernels::evaluate(&kernel.graph, &args).map_err(|e| RunError::Eval {
+        let mut out = kernels::evaluate(&graph, &args).map_err(|e| RunError::Eval {
             layer_index: step_idx,
-            layer: kernel.name.clone(),
+            layer: name.clone(),
             source: e,
         })?;
-        let compute = cpu::cpu_graph_cycles(&self.cfg.cpu, &kernel.graph);
+        let compute = cpu::cpu_graph_cycles(&self.cfg.cpu, &graph);
         faults.counters.engine_fallbacks += 1;
         let (extra_stall, retries) = faults.take_layer_faults();
         let profile = LayerProfile {
-            name: kernel.name.clone(),
+            name,
             engine: EngineKind::Cpu,
             cycles: CycleBreakdown {
                 compute,
@@ -712,7 +726,8 @@ impl Machine {
     }
 
     /// Runs the tile's arithmetic through the fast kernel tiers (bit-exact
-    /// with the reference kernels by construction).
+    /// with the reference kernels by construction). The operands it
+    /// unwraps were checked by [`check_operands`] before the run.
     fn exec_tile(
         &self,
         desc: &AccelLayerDesc,
@@ -725,7 +740,7 @@ impl Machine {
         let geom = &desc.geom;
         match geom.kind {
             LayerKind::Conv2d => {
-                let w = desc.weights.as_ref().expect("conv layers carry weights");
+                let w = desc.weights.as_ref().expect("operands checked");
                 let mut policy = kernels::KernelPolicy::for_conv(
                     inst.k.len(),
                     inst.c.len(),
@@ -752,7 +767,7 @@ impl Machine {
                 );
             }
             LayerKind::DepthwiseConv2d => {
-                let w = desc.weights.as_ref().expect("dw layers carry weights");
+                let w = desc.weights.as_ref().expect("operands checked");
                 kernels::depthwise_conv2d_region(
                     input,
                     w,
@@ -765,11 +780,11 @@ impl Machine {
                 );
             }
             LayerKind::Dense => {
-                let w = desc.weights.as_ref().expect("dense layers carry weights");
+                let w = desc.weights.as_ref().expect("operands checked");
                 kernels::dense_accumulate(input, w, acc, inst.k.clone(), inst.c.clone());
             }
             LayerKind::MatMul => {
-                let b = input2.expect("matmul layers have two operands");
+                let b = input2.expect("operands checked");
                 kernels::matmul_accumulate_region(
                     input,
                     b,
@@ -782,7 +797,7 @@ impl Machine {
                 );
             }
             LayerKind::Add => {
-                let b = input2.expect("add layers have two operands");
+                let b = input2.expect("operands checked");
                 debug_assert_eq!(input.shape(), acc.shape());
                 debug_assert_eq!(b.shape(), acc.shape());
                 let (oy, ox) = (geom.oy(), geom.ox());
@@ -803,6 +818,30 @@ impl Machine {
             }
         }
     }
+}
+
+/// Checks that an accelerator step carries the operands its layer kind
+/// reads: a persisted artifact is untrusted input, and a `null` weight
+/// tensor deserializes without complaint.
+fn check_operands(
+    step_idx: usize,
+    desc: &AccelLayerDesc,
+    input2: Option<BufferId>,
+) -> Result<(), RunError> {
+    let missing = match desc.geom.kind {
+        LayerKind::Conv2d | LayerKind::DepthwiseConv2d | LayerKind::Dense
+            if desc.weights.is_none() =>
+        {
+            "weights"
+        }
+        LayerKind::MatMul | LayerKind::Add if input2.is_none() => "a second input",
+        _ => return Ok(()),
+    };
+    Err(RunError::MalformedStep {
+        layer_index: step_idx,
+        layer: desc.name.clone(),
+        detail: format!("{:?} layer carries no {missing}", desc.geom.kind),
+    })
 }
 
 fn take_ref(values: &[Option<Tensor>], id: BufferId) -> &Tensor {
@@ -878,28 +917,8 @@ mod tests {
             inputs: vec![BufferId(0)],
             outputs: vec![BufferId(1)],
             activation_peak: 4 * 64 + 6 * 64,
-            fallbacks: crate::FallbackTable::default(),
         };
         (program, input, reference)
-    }
-
-    /// Hand-build the CPU fallback graph matching `conv_program`'s fused
-    /// accelerator layer: conv + bias + shift + clip + cast + relu.
-    fn conv_fallback(program: &Program) -> crate::FallbackKernel {
-        let Step::Accel { desc, .. } = &program.steps[0] else {
-            panic!("conv_program starts with an accel step");
-        };
-        let mut b = htvm_ir::GraphBuilder::new();
-        let x = b.input("x", &[4, 8, 8], DType::I8);
-        let w = b.constant("w", desc.weights.clone().unwrap());
-        let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
-        let bias = b.constant("bias", desc.bias.clone().unwrap());
-        let c = b.bias_add(c, bias).unwrap();
-        let c = b.requantize(c, desc.shift, desc.relu).unwrap();
-        crate::FallbackKernel {
-            name: format!("{}_cpu_fallback", desc.name),
-            graph: b.finish(&[c]).unwrap(),
-        }
     }
 
     #[test]
@@ -1302,8 +1321,14 @@ mod tests {
 
     #[test]
     fn engine_off_without_fallback_is_a_structured_error() {
+        // A conv whose weight tensor has 3 input channels against a
+        // 4-channel geometry: the host cannot build a fallback graph.
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
+        let (mut program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
+        let Step::Accel { desc, .. } = &mut program.steps[0] else {
+            panic!("conv_program starts with an accel step");
+        };
+        desc.weights = Some(Tensor::zeros(DType::I8, &[6, 3, 3, 3]));
         let m = Machine::new(DianaConfig::default());
         let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
             engine: EngineKind::Digital,
@@ -1327,9 +1352,8 @@ mod tests {
     #[test]
     fn engine_off_with_fallback_degrades_bit_exactly() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (mut program, input, reference) =
+        let (program, input, reference) =
             conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
         let m = Machine::new(DianaConfig::default());
         let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
         let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
@@ -1365,8 +1389,7 @@ mod tests {
     #[test]
     fn analog_fallback_replicates_dac_clamp() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (mut program, _, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
-        program.fallbacks.insert(0, conv_fallback(&program));
+        let (program, _, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
         let mut cfg = DianaConfig::default();
         cfg.analog.clamp_inputs_7bit = true;
         let m = Machine::new(cfg);

@@ -170,72 +170,6 @@ impl Step {
     }
 }
 
-/// A pre-compiled CPU alternative for one accelerator step: the same
-/// fused computation (operator, bias, requantization, pooling) expressed
-/// as an executable host graph. The machine swaps to it mid-run when the
-/// step's engine is offline, instead of aborting — by construction it is
-/// bit-exact with the accelerator path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FallbackKernel {
-    /// Kernel name (for profiles; derived from the accelerator layer).
-    pub name: String,
-    /// The fused computation as a host-executable graph. Its inputs map
-    /// to the accelerator step's `input` (and `input2`) in order.
-    pub graph: Graph,
-}
-
-/// CPU fallbacks for a program's accelerator steps, keyed by step index.
-///
-/// Stored as a sorted vector rather than a map: programs have at most a
-/// few dozen steps, lookups are binary searches, and a vector keeps the
-/// serialized form stable and human-readable.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FallbackTable {
-    entries: Vec<(usize, FallbackKernel)>,
-}
-
-impl FallbackTable {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        FallbackTable::default()
-    }
-
-    /// Registers (or replaces) the fallback for step `step`.
-    pub fn insert(&mut self, step: usize, kernel: FallbackKernel) {
-        match self.entries.binary_search_by_key(&step, |(s, _)| *s) {
-            Ok(pos) => self.entries[pos].1 = kernel,
-            Err(pos) => self.entries.insert(pos, (step, kernel)),
-        }
-    }
-
-    /// The fallback for step `step`, if one was compiled.
-    #[must_use]
-    pub fn get(&self, step: usize) -> Option<&FallbackKernel> {
-        self.entries
-            .binary_search_by_key(&step, |(s, _)| *s)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-
-    /// Number of steps carrying a fallback.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no fallbacks were compiled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates `(step index, kernel)` in step order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &FallbackKernel)> {
-        self.entries.iter().map(|(s, k)| (*s, k))
-    }
-}
-
 /// A compiled deployment for the simulated SoC.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Program {
@@ -249,10 +183,6 @@ pub struct Program {
     pub outputs: Vec<BufferId>,
     /// Peak bytes of the planned L2 activation arena.
     pub activation_peak: usize,
-    /// Pre-compiled CPU fallbacks for accelerator steps (graceful
-    /// degradation under engine-off faults); may be empty.
-    #[serde(default)]
-    pub fallbacks: FallbackTable,
 }
 
 impl Program {
@@ -276,32 +206,5 @@ mod tests {
         assert_eq!(EngineKind::Cpu.to_string(), "cpu");
         assert_eq!(EngineKind::Digital.to_string(), "digital");
         assert_eq!(EngineKind::Analog.to_string(), "analog");
-    }
-
-    #[test]
-    fn fallback_table_inserts_sorted_and_looks_up() {
-        let kernel = |name: &str| {
-            let mut b = htvm_ir::GraphBuilder::new();
-            let x = b.input("x", &[1], htvm_ir::DType::I8);
-            let y = b.relu(x).unwrap();
-            FallbackKernel {
-                name: name.into(),
-                graph: b.finish(&[y]).unwrap(),
-            }
-        };
-        let mut table = FallbackTable::new();
-        assert!(table.is_empty());
-        assert_eq!(table.get(0), None);
-        table.insert(5, kernel("e"));
-        table.insert(1, kernel("a"));
-        table.insert(3, kernel("c"));
-        table.insert(3, kernel("c2")); // replace
-        assert_eq!(table.len(), 3);
-        assert_eq!(table.get(1).unwrap().name, "a");
-        assert_eq!(table.get(3).unwrap().name, "c2");
-        assert_eq!(table.get(5).unwrap().name, "e");
-        assert_eq!(table.get(2), None);
-        let steps: Vec<usize> = table.iter().map(|(s, _)| s).collect();
-        assert_eq!(steps, vec![1, 3, 5], "iteration is in step order");
     }
 }

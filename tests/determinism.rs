@@ -324,16 +324,37 @@ fn artifact_serialization_round_trips() {
 #[test]
 fn artifacts_carrying_a_dma_table_still_load() {
     // Earlier builds persisted every accelerator step's pre-linearized DMA
-    // descriptor list as `program.dma`, under the same compiler stamp. The
-    // simulator now derives that list per layer at run time, so a warm
-    // restart must read such an artifact, ignore the table, and run it
-    // exactly like a freshly compiled one.
+    // descriptor list as `program.dma` and a CPU fallback graph per step
+    // in the program's `"fallbacks"` table, under the same compiler
+    // stamp. The simulator now derives both from the step descriptor at
+    // run time, so a warm restart must read such an artifact, ignore the
+    // tables, and run it exactly like a freshly compiled one — engine
+    // faults included.
     let model = ds_cnn(QuantScheme::Mixed);
     let compiler = Compiler::new().with_deploy(DeployConfig::Both);
     let artifact = compiler.compile(&model.graph).expect("compiles");
     let mut entries = Vec::new();
+    let mut fallbacks = Vec::new();
     for (idx, step) in artifact.program.steps.iter().enumerate() {
-        if let htvm::Step::Accel { engine, desc, .. } = step {
+        if let htvm::Step::Accel {
+            engine,
+            desc,
+            input,
+            ..
+        } = step
+        {
+            let decl = artifact.program.buffer(*input);
+            let mut b = htvm::GraphBuilder::new();
+            let x = b.input("x", decl.shape.dims(), decl.dtype);
+            let y = b.relu(x).expect("relu builds");
+            let graph = b.finish(&[y]).expect("graph builds");
+            fallbacks.push(serde_json::json!([
+                idx,
+                {
+                    "name": format!("{}_cpu_fallback", desc.name),
+                    "graph": serde_json::to_value(&graph),
+                }
+            ]));
             let step_dma = htvm_soc::linearize_step(compiler.platform(), *engine, desc);
             let descriptors: Vec<_> = step_dma
                 .descriptors
@@ -376,8 +397,13 @@ fn artifacts_carrying_a_dma_table_still_load() {
         panic!("programs serialize as objects");
     };
     program_fields.push(("dma".to_string(), table));
+    program_fields.push((
+        "fallbacks".to_string(),
+        serde_json::json!({ "entries": fallbacks }),
+    ));
     let persisted = serde_json::to_string(&value).expect("serializes");
     assert!(persisted.contains("\"dma\":{\"platform_digest\""));
+    assert!(persisted.contains("\"fallbacks\":{\"entries\":[["));
 
     let loaded: htvm::Artifact = serde_json::from_str(&persisted).expect("parent artifact loads");
     assert_eq!(loaded, artifact);
@@ -387,4 +413,23 @@ fn artifacts_carrying_a_dma_table_still_load() {
         machine.run(&loaded.program, &input).expect("runs"),
         machine.run(&artifact.program, &input).expect("runs")
     );
+    for (idx, step) in artifact.program.steps.iter().enumerate() {
+        if let htvm::Step::Accel { engine, .. } = step {
+            let plan = htvm::FaultPlan::none().with_event(htvm::FaultEvent::EngineOffline {
+                engine: *engine,
+                layer: idx,
+            });
+            let fresh = machine
+                .run_with_faults(&artifact.program, &input, &plan)
+                .expect("degrades to the CPU");
+            assert!(fresh.counters.engine_fallbacks >= 1, "step {idx}");
+            assert_eq!(
+                machine
+                    .run_with_faults(&loaded.program, &input, &plan)
+                    .expect("degrades to the CPU"),
+                fresh,
+                "engine off at step {idx}"
+            );
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! any seeded [`FaultPlan`], the run's outputs are **bit-exact** with the
 //! fault-free run — faults only change cycle counts. Transient faults
 //! (DMA stalls/failures, L1 denials) are retried with cycle-accounted
-//! backoff; permanent engine-offline faults swap the affected step to its
-//! pre-compiled CPU fallback mid-run.
+//! backoff; permanent engine-offline faults swap the affected step to a
+//! CPU fallback rebuilt from its descriptor mid-run.
 //!
 //! The seed sweep honours `HTVM_FAULT_SEED_BASE` so CI can shift the
 //! whole 32-seed window per job without touching the code.
@@ -245,37 +245,115 @@ fn engine_offline_at_the_attention_matmul_falls_back_bit_exactly() {
     }
 }
 
-/// Without compiled fallbacks, the same engine fault is a structured
-/// error carrying the failing layer index and engine — no string
-/// matching needed.
+/// An offline engine at a step the host cannot express as a CPU graph —
+/// here a conv whose weight tensor disagrees with its geometry's input
+/// channels — is a structured error carrying the failing layer index,
+/// name and engine; no string matching needed.
 #[test]
 fn engine_offline_without_fallbacks_is_a_structured_error() {
     let model = resnet8(QuantScheme::Int8);
-    let compiler = Compiler::new()
-        .with_deploy(DeployConfig::Digital)
-        .with_fallbacks(false);
-    let artifact = compiler.compile(&model.graph).unwrap();
-    assert!(artifact.program.fallbacks.is_empty());
-    let machine = Machine::new(*compiler.platform());
+    let (mut program, machine) = compile(&model, DeployConfig::Digital);
+    let (step, name) = program
+        .steps
+        .iter_mut()
+        .enumerate()
+        .find_map(|(i, s)| match s {
+            htvm::Step::Accel { desc, .. } if desc.geom.kind == htvm::LayerKind::Conv2d => {
+                let g = &desc.geom;
+                desc.weights = Some(Tensor::zeros(htvm::DType::I8, &[g.k, g.c + 1, g.fy, g.fx]));
+                Some((i, desc.name.clone()))
+            }
+            _ => None,
+        })
+        .expect("resnet8 has a digital conv");
     let input = model.input(11);
     let plan = FaultPlan::none().with_event(FaultEvent::EngineOffline {
         engine: EngineKind::Digital,
-        layer: 0,
+        layer: step,
     });
     let err = machine
-        .run_with_faults(&artifact.program, &[input], &plan)
+        .run_with_faults(&program, &[input], &plan)
         .expect_err("no fallback to degrade to");
     let RunError::EngineUnavailable {
         layer_index,
+        layer,
         engine,
-        ..
     } = &err
     else {
         panic!("expected EngineUnavailable, got {err:?}");
     };
+    assert_eq!(*layer_index, step);
+    assert_eq!(*layer, name);
     assert_eq!(*engine, EngineKind::Digital);
-    assert_eq!(err.layer_index(), Some(*layer_index));
+    assert_eq!(err.layer_index(), Some(step));
     assert_eq!(err.engine(), Some(EngineKind::Digital));
+}
+
+/// A persisted artifact is untrusted input: an accelerator step whose
+/// weights (conv) or second operand (add) went missing still loads, so
+/// the run must refuse it with a typed error naming the step — fault-free
+/// and with the step's engine offline alike — instead of panicking.
+#[test]
+fn a_loaded_step_missing_an_operand_is_a_structured_error() {
+    type Breaker = fn(&mut htvm::Step) -> bool;
+    let cases: [(&str, Model, Breaker); 2] = [
+        (
+            "weights",
+            htvm_models::ds_cnn(QuantScheme::Int8),
+            |s| match s {
+                htvm::Step::Accel { desc, .. } if desc.weights.is_some() => {
+                    desc.weights = None;
+                    true
+                }
+                _ => false,
+            },
+        ),
+        ("a second input", resnet8(QuantScheme::Int8), |s| match s {
+            htvm::Step::Accel { desc, input2, .. } if desc.geom.kind == htvm::LayerKind::Add => {
+                *input2 = None;
+                true
+            }
+            _ => false,
+        }),
+    ];
+    for (missing, model, breaker) in cases {
+        let (mut program, machine) = compile(&model, DeployConfig::Digital);
+        let step = program
+            .steps
+            .iter_mut()
+            .position(breaker)
+            .unwrap_or_else(|| panic!("{}: no step to break", model.name));
+        let program: Program =
+            serde_json::from_str(&serde_json::to_string(&program).unwrap()).unwrap();
+        let htvm::Step::Accel { desc, .. } = &program.steps[step] else {
+            unreachable!("the breaker only matches accelerator steps");
+        };
+        let name = desc.name.clone();
+        let input = model.input(3);
+        for plan in [
+            FaultPlan::none(),
+            FaultPlan::none().with_event(FaultEvent::EngineOffline {
+                engine: EngineKind::Digital,
+                layer: step,
+            }),
+        ] {
+            let err = machine
+                .run_with_faults(&program, std::slice::from_ref(&input), &plan)
+                .expect_err("a malformed step cannot run");
+            let RunError::MalformedStep {
+                layer_index,
+                layer,
+                detail,
+            } = &err
+            else {
+                panic!("{}: expected MalformedStep, got {err:?}", model.name);
+            };
+            assert_eq!(*layer_index, step);
+            assert_eq!(*layer, name);
+            assert!(detail.ends_with(missing), "{detail}");
+            assert_eq!(err.layer_index(), Some(step));
+        }
+    }
 }
 
 /// A DMA transfer that keeps failing past the retry budget aborts the run
